@@ -14,28 +14,11 @@ from .intlat import CodeParams, Lattice
 #: weight ceiling for the automatic minimum-distance search
 DEFAULT_HARD_CAP = 64
 
-#: rough ceiling on enumerated points during a distance search
+#: ceiling on search nodes (coordinates fixed) during a distance search
 DEFAULT_POINT_BUDGET = 20_000_000
 
 #: largest volume for which coset tables are built
 DEFAULT_COSET_CAP = 10**6
-
-
-def _member_test(lat: Lattice):
-    """Closure testing lattice membership via x . adj == 0 (mod |det|)."""
-    cols = list(zip(*lat.adjugate.entries))
-    d = lat.volume
-
-    def member(x) -> bool:
-        for col in cols:
-            s = 0
-            for xi, ai in zip(x, col):
-                s += xi * ai
-            if s % d:
-                return False
-        return True
-
-    return member
 
 
 def min_distance(
@@ -46,31 +29,97 @@ def min_distance(
 ) -> int:
     """Minimum Manhattan weight over the nonzero lattice vectors.
 
-    Enumerates Z^n by increasing weight and tests membership.  With an
-    explicit ``cap`` the search stops there; otherwise the cap starts at 8
-    and doubles up to ``hard_cap``.  An exhausted cap or budget raises
+    Depth-first enumeration of lattice vectors along the lower-triangular
+    HNF, Fincke-Pohst / Schnorr-Euchner style in the L1 norm.  Coordinates
+    are fixed from the last one down; the HNF rows already chosen confine
+    coordinate j to one residue class mod ``hnf[j][j]``, tried smallest
+    absolute value first.  Of each pair x, -x only the one whose last
+    nonzero coordinate is positive is visited.  The weight bound deepens
+    w = 1, 2, ... up to ``cap`` (``hard_cap`` without one), and each pass
+    looks for a vector of weight exactly w.  ``point_budget`` caps the
+    search nodes over all passes.  An exhausted cap or budget raises
     InconclusiveError, never a wrong answer.
     """
+    h = lat.hnf.entries
     n = lat.n
-    member = _member_test(lat)
-    limit = cap if cap is not None else min(8, hard_cap)
-    searched = 0
-    while True:
-        for w in range(searched + 1, limit + 1):
-            if metric.lee_sphere_size(n, w) > point_budget:
-                raise InconclusiveError(
-                    f"weight-{w} search needs more than {point_budget} points; "
-                    "raise the point budget or use a structural argument"
-                )
-            for x in metric.weight_shell(n, w):
-                if member(x):
-                    return w
-        searched = limit
-        if cap is not None or limit >= hard_cap:
-            raise InconclusiveError(
-                f"no nonzero lattice vector of weight <= {limit}; raise the cap"
-            )
-        limit = min(limit * 2, hard_cap)
+    diag = [h[j][j] for j in range(n)]
+    # nonzero below-diagonal entries of each HNF row: choosing row j's
+    # coefficient moves only these lower coordinates
+    below = [tuple((k, v) for k, v in enumerate(h[j][:j]) if v) for j in range(n)]
+    partial = [0] * n  # contribution of the rows chosen so far
+    limit = cap if cap is not None else hard_cap
+    nodes = 0
+    w = 0
+
+    def exhausted():
+        return InconclusiveError(
+            f"search budget exhausted: {nodes} nodes visited, budget "
+            f"{point_budget}, weights <= {w - 1} fully searched"
+        )
+
+    def search(j, rem, free):
+        nonlocal nodes
+        if rem == 0:
+            # every lower coordinate is zero: reduce the partial vector
+            # against the HNF, one node per level that admits a zero
+            p = partial[: j + 1]
+            for k in range(j, -1, -1):
+                q, r = divmod(p[k], diag[k])
+                if r:
+                    break
+                if q:
+                    for i, a in below[k]:
+                        p[i] -= q * a
+            nodes += j - k
+            if nodes > point_budget:
+                raise exhausted()
+            return r == 0
+        d = diag[j]
+        t = partial[j]
+        # x_j = t (mod d) with |x_j| <= rem, smallest |x_j| first; only
+        # x_j >= 0 while every higher coordinate is zero (then t == 0)
+        if free:
+            values = range(0, rem + 1, d)
+        else:
+            r = t % d
+            values = sorted(range(r - (r + rem) // d * d, rem + 1, d), key=abs)
+        nodes += len(values)
+        if nodes > point_budget:
+            raise exhausted()
+        if j == 1:
+            # x_0 is forced: |x_0| = rem - |x_1|, in one class mod diag[0]
+            d0 = diag[0]
+            a = h[1][0]
+            t0 = partial[0]
+            for v in values:
+                r0 = rem - abs(v)
+                s = t0 + (v - t) // d * a
+                if (r0 - s) % d0 == 0 or (r0 + s) % d0 == 0:
+                    return True
+            return False
+        row = below[j]
+        for v in values:
+            c = (v - t) // d
+            for k, a in row:
+                partial[k] += c * a
+            found = search(j - 1, rem - abs(v), free and v == 0)
+            for k, a in row:
+                partial[k] -= c * a
+            if found:
+                return True
+        return False
+
+    if n == 1:  # the lattice is diag[0] * Z
+        if diag[0] <= limit:
+            return diag[0]
+    else:
+        for w in range(1, limit + 1):
+            if search(n - 1, w, True):
+                return w
+    raise InconclusiveError(
+        f"no nonzero lattice vector of weight <= {limit}; raise the cap "
+        f"({nodes} nodes visited, budget {point_budget})"
+    )
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,21 @@ class FormatFault(Exception):
     pass
 
 
+def _int_at_least(lo: int):
+    """argparse type for integers >= lo; anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leelat",
@@ -70,8 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="measure a generator matrix with the oracles")
     a.add_argument("matrix", help="matrix file in the shared text format, or - for stdin")
-    a.add_argument("--min-dist-cap", type=int, default=None, help="weight cap for the distance search")
-    a.add_argument("--coset-cap", type=int, default=analyzer.DEFAULT_COSET_CAP,
+    a.add_argument("--min-dist-cap", type=_int_at_least(1), default=None,
+                   help="weight cap for the distance search")
+    a.add_argument("--coset-cap", type=_int_at_least(0), default=analyzer.DEFAULT_COSET_CAP,
                    help="skip the covering radius above this volume")
 
     t = sub.add_parser("density", help="print the packing-density table as CSV")
@@ -96,9 +112,12 @@ def _read_text(path: str) -> str:
 
 def _load_lattice(path: str) -> intlat.Lattice:
     try:
-        return intlat.parse_lattice(_read_text(path))
+        lat = intlat.parse_lattice(_read_text(path))
+        # a scale that leaves the generator fractional is a format error
+        lat.int_matrix
     except (ValueError, LatticeError) as e:
         raise FormatFault(f"{path}: {e}") from e
+    return lat
 
 
 def _fraction_str(f: Fraction) -> str:

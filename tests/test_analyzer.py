@@ -2,13 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from leelat import analyzer, constructions, hadamard, intlat, metric
 from leelat.analyzer import CertificateKind
 from leelat.errors import CapExceededError, InconclusiveError
 from leelat.intlat import IntMatrix, Lattice
 
-from helpers import lee_code_min_distance
+from helpers import brute_min_weight, lee_code_min_distance
 
 EVEN_SUM_Z4 = Lattice(
     [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 0, 2]]
@@ -56,6 +58,49 @@ class TestMinDistance:
             analyzer.min_distance(
                 hadamard.hadamard_code(hadamard.sylvester(3)), point_budget=100
             )
+
+    def test_inconclusive_messages_say_how_far(self):
+        with pytest.raises(InconclusiveError) as e:
+            analyzer.min_distance(constructions.gn(6), point_budget=100)
+        assert "nodes visited, budget 100, weights <= 2 fully searched" in str(e.value)
+        with pytest.raises(InconclusiveError) as e:
+            analyzer.min_distance(constructions.gn(3), cap=2)
+        assert "weight <= 2" in str(e.value) and "nodes visited" in str(e.value)
+
+    def test_paley_order_12(self):
+        # the order-12 certificate through the library; the numpy span
+        # check in test_acceptance stays as the independent oracle
+        code = hadamard.hadamard_code(hadamard.paley(11))
+        assert analyzer.min_distance(code) == 12
+        with pytest.raises(InconclusiveError):
+            analyzer.min_distance(code, cap=11)
+
+
+@st.composite
+def small_lattices(draw):
+    """Full-rank integer generators in n <= 4, entries kept small enough
+    for the brute-force oracle.  The diagonal shrinks towards 1, so the
+    simplest example is the identity."""
+    n = draw(st.integers(1, 4))
+    bound = {1: 9, 2: 6, 3: 3, 4: 2}[n]
+    rows = [
+        [draw(st.integers(1, bound) if i == j else st.integers(-bound, bound)) for j in range(n)]
+        for i in range(n)
+    ]
+    assume(intlat.det(IntMatrix(rows)) != 0)
+    return rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_lattices())
+def test_min_distance_matches_brute_force(rows):
+    # every generator row is a lattice vector, so its weight bounds the search
+    w_max = min(sum(abs(v) for v in r) for r in rows)
+    d = brute_min_weight(rows, w_max)
+    lat = Lattice(rows)
+    assert analyzer.min_distance(lat) == d
+    with pytest.raises(InconclusiveError):
+        analyzer.min_distance(lat, cap=d - 1)
 
 
 class TestCosetTable:

@@ -141,6 +141,38 @@ class TestAnalyze:
         assert run_cli(["analyze", str(f), "--min-dist-cap", "2"]) == 4
         assert "raise the cap" in capsys.readouterr().err
 
+    def test_nonpositive_min_dist_cap_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "gn4.txt"
+        run_cli(["construct", "gn", "--n", "4", "--out", str(f)])
+        capsys.readouterr()
+        for cap in ("0", "-1"):
+            assert run_cli(["analyze", str(f), "--min-dist-cap", cap]) == 2
+            assert "--min-dist-cap" in capsys.readouterr().err
+
+    def test_negative_coset_cap_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "gn4.txt"
+        run_cli(["construct", "gn", "--n", "4", "--out", str(f)])
+        capsys.readouterr()
+        assert run_cli(["analyze", str(f), "--coset-cap", "-1"]) == 2
+        assert "--coset-cap" in capsys.readouterr().err
+
+    def test_fractional_scale_exits_3(self, tmp_path, capsys):
+        f = tmp_path / "half.txt"
+        f.write_text("# scale 1/2\n2 2\n1 0\n0 2\n")
+        assert run_cli(["analyze", str(f)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "integral" in err
+        assert len(err.splitlines()) == 1
+
+    def test_hadamard_order_12(self, tmp_path, capsys):
+        f = tmp_path / "h12.txt"
+        run_cli(["construct", "hadamard", "--order", "12", "--out", str(f)])
+        capsys.readouterr()
+        assert run_cli(["analyze", str(f)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["min_distance"] == 12
+        assert doc["volume"] == 12**6
+
     def test_stdin_input(self, capsys, monkeypatch):
         assert run_cli(["analyze", "-"], stdin="2 2\n1 1\n1 -1\n", monkeypatch=monkeypatch) == 0
         doc = json.loads(capsys.readouterr().out)

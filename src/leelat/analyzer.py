@@ -169,11 +169,6 @@ def covering_radius(lat: Lattice, cap: int = DEFAULT_COSET_CAP) -> int:
     return coset_table(lat, cap=cap).rho
 
 
-def packing_density(params: CodeParams) -> Fraction:
-    """Nominal cross-polytope packing density d^n / (n! * v)."""
-    return params.density
-
-
 def density_decimal(value: Fraction, places: int = 6) -> str:
     """Deterministic fixed-point rendering, round half up."""
     num, den = value.numerator, value.denominator
@@ -250,7 +245,7 @@ def report(
     """Full machine-readable analysis document with a fixed key order."""
     d = min_distance(lat, cap=min_dist_cap)
     periods, q = intlat.period(lat)
-    params = intlat.reduce_mod_period(lat, d)
+    params = CodeParams(n=lat.n, d=d, v=lat.volume, q=q)
     cert = certify(lat, min_dist=d)
     try:
         rho = covering_radius(lat, cap=coset_cap)

@@ -21,6 +21,10 @@ EXIT_USAGE = 2
 EXIT_FORMAT = 3
 EXIT_INCONCLUSIVE = 4
 
+#: longest code ``construct`` builds; a family's generator has length^2
+#: entries, so an unchecked size flag could exhaust memory
+MAX_LENGTH = 256
+
 FAMILIES = (
     "hadamard",
     "gij",
@@ -133,10 +137,16 @@ def _construct_lattice(args) -> tuple:
             raise UsageFault(f"family {args.family} requires --{name}")
         return value
 
+    def need_length(name):
+        value = need(name)
+        if value > MAX_LENGTH:
+            raise UsageFault(f"--{name} {value} is above the length ceiling {MAX_LENGTH}")
+        return value
+
     fam = args.family
     try:
         if fam == "hadamard":
-            order = need("order")
+            order = need_length("order")
             if order >= 1 and order & (order - 1) == 0:
                 h = hadamard.sylvester(order.bit_length() - 1)
             else:
@@ -145,6 +155,8 @@ def _construct_lattice(args) -> tuple:
             nominal = {"min_distance": order, "volume_formula": f"{order}^{order//2}"}
         elif fam == "gij":
             i, j = need("i"), need("j")
+            if i >= MAX_LENGTH.bit_length():  # length 2^i > MAX_LENGTH, not built
+                raise UsageFault(f"--i {i} gives length 2^{i}, above the ceiling {MAX_LENGTH}")
             lat = hadamard.g_matrix(i, j)
             nominal = {
                 "min_distance": 2**j,
@@ -160,19 +172,22 @@ def _construct_lattice(args) -> tuple:
             lat = constructions.n2_perfect(need("d"))
             nominal = {"min_distance": args.d, "volume_formula": "1/2*d^2"}
         elif fam == "gn":
-            lat = constructions.gn(need("n"))
+            lat = constructions.gn(need_length("n"))
             nominal = {"min_distance": 4, "volume_formula": f"{4 * args.n}"}
         elif fam == "scaled":
-            lat = constructions.scaled_diameter_code(need("n"), need("d"))
+            lat = constructions.scaled_diameter_code(need_length("n"), need("d"))
             nominal = {"min_distance": args.d, "volume_formula": f"{4 * args.n}*(d/4)^{args.n}"}
         elif fam == "gw":
-            lat = constructions.gw_perfect(need("n"))
+            lat = constructions.gw_perfect(need_length("n"))
             nominal = {"min_distance": 3, "volume_formula": f"{2 * args.n + 1}"}
         elif fam == "double":
             lat = constructions.double(_load_lattice(need("input")))
             nominal = {"min_distance": 4}
         elif fam == "kronecker":
-            lat = intlat.kronecker(_load_lattice(need("a")), _load_lattice(need("b")))
+            a, b = _load_lattice(need("a")), _load_lattice(need("b"))
+            if a.n * b.n > MAX_LENGTH:
+                raise UsageFault(f"kronecker length {a.n * b.n} is above the ceiling {MAX_LENGTH}")
+            lat = intlat.kronecker(a, b)
             nominal = {}
         elif fam == "puncture":
             src = intlat.normalize_first_column(_load_lattice(need("input")))
@@ -193,7 +208,7 @@ def _construct_lattice(args) -> tuple:
     }
     if "min_distance" in nominal:
         d = nominal["min_distance"]
-        params = intlat.reduce_mod_period(lat, d)
+        params = intlat.CodeParams(n=lat.n, d=d, v=lat.volume, q=q)
         doc["min_distance_nominal"] = d
         doc["density"] = f"{params.density.numerator}/{params.density.denominator}"
         doc["density_decimal"] = analyzer.density_decimal(params.density)

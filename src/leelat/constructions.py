@@ -8,13 +8,12 @@ coefficients are d-independent constants.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import analyzer, intlat
 from .errors import InconclusiveError
-from .intlat import IntMatrix, Lattice
+from .intlat import CodeParams, IntMatrix, Lattice
 
 
 #: non-lattice-code lower bounds on cross-polytope packing density, kept
@@ -57,7 +56,7 @@ def dim4_reconciliation(d: int = 6) -> dict:
     dist = analyzer.min_distance(lat)
     volume = lat.volume
     _, q = intlat.period(lat)
-    density = Fraction(dist ** lat.n, math.factorial(lat.n) * volume)
+    density = CodeParams(n=lat.n, d=dist, v=volume, q=q).density
     claimed_volume = Fraction(13, 216) * d**4
     claimed_q = Fraction(37, 3) * d
     claimed_density = Fraction(9, 13)
@@ -201,16 +200,15 @@ class DensityEntry:
 
 
 def _entry(n: int, label: str, lat: Lattice, d: int, volume_power: int | None = None) -> DensityEntry:
-    volume = lat.volume
     _, q = intlat.period(lat)
-    density = Fraction(d**n, math.factorial(n) * volume)
+    params = CodeParams(n=n, d=d, v=lat.volume, q=q)
     return DensityEntry(
         n=n,
         label=label,
         d=d,
-        volume=volume,
+        volume=lat.volume,
         q=q,
-        density=density,
+        density=params.density,
         volume_power=n if volume_power is None else volume_power,
         lattice=lat,
     )

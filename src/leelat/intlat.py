@@ -117,6 +117,38 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _pivot_column(m: list, j: int, p: int, rows) -> None:
+    """Euclid on column j over the row indices ``rows`` (which include p).
+
+    Repeatedly moves the smallest nonzero entry to row p and floor-reduces
+    the other rows by it, until row p holds the positive gcd and the other
+    rows are zero in column j.  Row operations only, in place.
+    """
+    while True:
+        best = -1
+        for i in rows:
+            v = m[i][j]
+            if v != 0 and (best < 0 or abs(v) < abs(m[best][j])):
+                best = i
+        if best < 0:
+            raise SingularMatrixError(f"no nonzero pivot in column {j}")
+        if best != p:
+            m[best], m[p] = m[p], m[best]
+        pivot = m[p][j]
+        clean = True
+        for i in rows:
+            if i != p and m[i][j] != 0:
+                q = m[i][j] // pivot
+                if q:
+                    m[i] = [a - q * b for a, b in zip(m[i], m[p])]
+                if m[i][j] != 0:
+                    clean = False
+        if clean:
+            break
+    if m[p][j] < 0:
+        m[p] = [-v for v in m[p]]
+
+
 def _hnf_rows(rows: list, cols: int) -> list:
     """Lower-triangular row HNF of a full-column-rank stack of rows.
 
@@ -130,29 +162,7 @@ def _hnf_rows(rows: list, cols: int) -> list:
         raise SingularMatrixError("fewer rows than columns")
     for j in range(cols - 1, -1, -1):
         p = nrows - cols + j
-        while True:
-            best = -1
-            for i in range(p + 1):
-                v = m[i][j]
-                if v != 0 and (best < 0 or abs(v) < abs(m[best][j])):
-                    best = i
-            if best < 0:
-                raise SingularMatrixError("rank-deficient input to hnf")
-            if best != p:
-                m[best], m[p] = m[p], m[best]
-            pivot = m[p][j]
-            clean = True
-            for i in range(p):
-                if m[i][j] != 0:
-                    q = m[i][j] // pivot
-                    if q:
-                        m[i] = [a - q * b for a, b in zip(m[i], m[p])]
-                    if m[i][j] != 0:
-                        clean = False
-            if clean:
-                break
-        if m[p][j] < 0:
-            m[p] = [-v for v in m[p]]
+        _pivot_column(m, j, p, range(p + 1))
         pivot = m[p][j]
         for i in range(p + 1, nrows):
             q = m[i][j] // pivot
@@ -258,7 +268,7 @@ class Lattice:
     """A full-rank sublattice of Z^n: integer generator rows plus an exact
     rational scale factor applied to every row."""
 
-    __slots__ = ("gen", "scale", "_int_matrix", "_det", "_adj", "_hnf")
+    __slots__ = ("gen", "scale", "_int_matrix", "_det", "_hnf")
 
     def __init__(self, gen, scale=1):
         if not isinstance(gen, IntMatrix):
@@ -274,7 +284,6 @@ class Lattice:
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "_int_matrix", None)
         object.__setattr__(self, "_det", None)
-        object.__setattr__(self, "_adj", None)
         object.__setattr__(self, "_hnf", None)
 
     def __setattr__(self, name, value):
@@ -319,12 +328,6 @@ class Lattice:
         return abs(self.det)
 
     @property
-    def adjugate(self) -> IntMatrix:
-        if self._adj is None:
-            self._set("_adj", adjugate(self.int_matrix))
-        return self._adj
-
-    @property
     def hnf(self) -> IntMatrix:
         if self._hnf is None:
             self._set("_hnf", hnf(self.int_matrix))
@@ -343,19 +346,9 @@ def same_lattice(a: Lattice, b: Lattice) -> bool:
 def contains(lat: Lattice, x) -> bool:
     """Membership test: is x an integer combination of the generator rows?
 
-    Uses x in L  <=>  x . adj(M) == 0 (mod det M), all exact.
+    x is in the lattice exactly when its canonical residue is zero.
     """
-    if len(x) != lat.n:
-        raise DimensionError("point length disagrees with lattice dimension")
-    adj = lat.adjugate.entries
-    d = lat.volume
-    for j in range(lat.n):
-        s = 0
-        for xi, row in zip(x, adj):
-            s += xi * row[j]
-        if s % d:
-            return False
-    return True
+    return not any(canonical_residue(lat, x))
 
 
 def canonical_residue(lat: Lattice, x) -> tuple:
@@ -381,16 +374,28 @@ def period(lat: Lattice):
     """Per-axis periods (m_1, ..., m_n) and their lcm m.
 
     m_i is the least positive integer with m_i * e_i in the lattice; the
-    code reduces to a Lee code over Z_m.
+    code reduces to a Lee code over Z_m.  Each m_i is read off the HNF:
+    walking the rows from i down, coordinate k of the current multiple
+    of e_i must first be made divisible by the diagonal h_kk, which
+    costs the factor h_kk / gcd(h_kk, v_k), and is then cleared by
+    subtracting a multiple of row k.
     """
-    adj = lat.adjugate.entries
-    d = lat.volume
+    h = lat.hnf.entries
     periods = []
-    for row in adj:
-        g = 0
-        for v in row:
-            g = math.gcd(g, v)
-        periods.append(d // math.gcd(d, g))
+    for i in range(lat.n):
+        v = [0] * i + [1]
+        mi = 1
+        for k in range(i, -1, -1):
+            hk = h[k]
+            a = hk[k] // math.gcd(hk[k], v[k])
+            if a > 1:
+                mi *= a
+                v = [a * t for t in v]
+            q = v[k] // hk[k]
+            if q:
+                for j in range(k + 1):
+                    v[j] -= q * hk[j]
+        periods.append(mi)
     return tuple(periods), math.lcm(*periods)
 
 
@@ -463,29 +468,7 @@ def normalize_first_column(lat: Lattice) -> Lattice:
     the shape ``puncture`` demands.
     """
     m = [list(r) for r in lat.int_matrix.entries]
-    n = len(m)
-    while True:
-        best = -1
-        for i in range(n):
-            if m[i][0] != 0 and (best < 0 or abs(m[i][0]) < abs(m[best][0])):
-                best = i
-        if best < 0:
-            raise SingularMatrixError("first column is zero")
-        if best != 0:
-            m[0], m[best] = m[best], m[0]
-        pivot = m[0][0]
-        if all(m[i][0] % pivot == 0 for i in range(1, n)):
-            break
-        for i in range(1, n):
-            q = m[i][0] // pivot
-            if q:
-                m[i] = [a - q * b for a, b in zip(m[i], m[0])]
-    for i in range(1, n):
-        q = m[i][0] // m[0][0]
-        if q:
-            m[i] = [a - q * b for a, b in zip(m[i], m[0])]
-    if m[0][0] < 0:
-        m[0] = [-v for v in m[0]]
+    _pivot_column(m, 0, 0, range(len(m)))
     return Lattice(m)
 
 

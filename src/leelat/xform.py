@@ -17,7 +17,7 @@ from . import analyzer, intlat, metric
 from .analyzer import CosetTable
 from .errors import BoundViolationError, DimensionError, IntegralityError
 from .hadamard import HadamardMatrix, sylvester
-from .intlat import IntMatrix, Lattice
+from .intlat import Lattice
 
 
 @dataclass(frozen=True)
@@ -141,26 +141,12 @@ def hadamard_kernel_code(h: HadamardMatrix) -> Lattice:
     d = math.isqrt(n)
     if d * d != n:
         raise DimensionError("matrix order must be a perfect square")
-    # x/d must pair integrally with every column of H and with d*Z^n, so
-    # the code is d times the dual of the lattice spanned by those rows.
-    stacked = [list(h.matrix.column(j)) for j in range(n)]
-    for i in range(n):
-        row = [0] * n
-        row[i] = d
-        stacked.append(row)
-    basis = IntMatrix(intlat._hnf_rows(stacked, n))
-    det_b = intlat.det(basis)
-    adj_t = intlat.adjugate(basis).transpose()
-    rows = []
-    for r in adj_t.entries:
-        row = []
-        for v in r:
-            t = d * v
-            if t % det_b:
-                raise ArithmeticError("kernel basis came out fractional")
-            row.append(t // det_b)
-        rows.append(row)
-    code = Lattice(intlat.hnf(IntMatrix(rows)))
+    # In the lattice of rows (x | H.x + d*y) the vectors ending in n zeros
+    # are exactly (x | 0) with x in the code.  The lower-triangular HNF puts
+    # them in its first n rows, already in the code's own canonical HNF.
+    stacked = [[int(i == j) for j in range(n)] + list(h.matrix.column(i)) for i in range(n)]
+    stacked += [[0] * n + [d * (i == j) for j in range(n)] for i in range(n)]
+    code = Lattice([r[:n] for r in intlat._hnf_rows(stacked, 2 * n)[:n]])
     for row in code.int_matrix.entries:  # every generator really is in the kernel
         if any(v % d for v in h.matrix.mat_vec(row)):
             raise ArithmeticError("kernel construction produced a non-member")

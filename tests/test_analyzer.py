@@ -196,13 +196,13 @@ class TestCoveringRadius:
 class TestPackingDensity:
     def test_minkowski(self):
         p = intlat.reduce_mod_period(constructions.minkowski3(6), 6)
-        assert analyzer.packing_density(p) == Fraction(18, 19)
+        assert p.density == Fraction(18, 19)
 
     def test_scaled_families(self):
         p5 = intlat.reduce_mod_period(constructions.scaled_diameter_code(5, 8), 8)
-        assert analyzer.packing_density(p5) == Fraction(32, 75)
+        assert p5.density == Fraction(32, 75)
         p7 = intlat.reduce_mod_period(constructions.scaled_diameter_code(7, 4), 4)
-        assert analyzer.packing_density(p7) == Fraction(4096, 35280)
+        assert p7.density == Fraction(4096, 35280)
 
     def test_decimal_rendering(self):
         assert analyzer.density_decimal(Fraction(648, 1805)) == "0.359003"

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from leelat import cli
 
 
@@ -51,6 +53,28 @@ class TestConstruct:
         assert rec["advertised"]["volume"] == "78"
         assert rec["discrepancy"]["volume_matches"] is False
         assert rec["discrepancy"]["note"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hadamard", "--order", "257"],
+            ["gij", "--i", "9", "--j", "2"],
+            ["gn", "--n", "257"],
+            ["gw", "--n", "257"],
+            ["scaled", "--n", "257", "--d", "4"],
+        ],
+    )
+    def test_length_ceiling_exits_2(self, argv, capsys):
+        assert cli.MAX_LENGTH == 256
+        assert run_cli(["construct", *argv]) == 2
+        assert "ceiling" in capsys.readouterr().err
+
+    def test_kronecker_length_ceiling_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "g17.txt"
+        assert run_cli(["construct", "gn", "--n", "17", "--out", str(f)]) == 0
+        capsys.readouterr()
+        assert run_cli(["construct", "kronecker", "--a", str(f), "--b", str(f)]) == 2
+        assert "ceiling" in capsys.readouterr().err
 
     def test_hadamard_order_12(self, tmp_path, capsys):
         out = tmp_path / "h12.txt"

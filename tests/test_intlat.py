@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from leelat import intlat
 from leelat.errors import (
@@ -255,6 +258,74 @@ class TestPeriod:
                 e = [0, 0, 0]
                 e[i] = m
                 assert intlat.contains(lat, tuple(e))
+
+
+@st.composite
+def nonsingular_rows(draw, max_n=4, span=4):
+    n = draw(st.integers(1, max_n))
+    rows = [[draw(st.integers(-span, span)) for _ in range(n)] for _ in range(n)]
+    assume(cofactor_det(rows) != 0)
+    return rows
+
+
+def prime_factors(m):
+    out, p = set(), 2
+    while p * p <= m:
+        while m % p == 0:
+            out.add(p)
+            m //= p
+        p += 1
+    return out | ({m} if m > 1 else set())
+
+
+# period, contains and normalize_first_column all work from the HNF (or
+# its Euclid step); these check them against rational elimination only.
+HYPOTHESIS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@HYPOTHESIS
+@given(
+    nonsingular_rows(),
+    st.sampled_from([1, 1, 2, 3]),
+    st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+)
+def test_period_and_contains_match_rational_solve(rows, k, coeffs, offset):
+    lat = Lattice(rows, k)
+    basis = lat.int_matrix.entries
+    n = lat.n
+    periods, m = intlat.period(lat)
+    for i, mi in enumerate(periods):
+        def axis(t):
+            return tuple(t if j == i else 0 for j in range(n))
+
+        assert solve_membership(basis, axis(mi))
+        for p in prime_factors(mi):  # the order is mi exactly, not a divisor
+            assert not solve_membership(basis, axis(mi // p))
+    assert m == math.lcm(*periods)
+    member = tuple(sum(c * r[j] for c, r in zip(coeffs, basis)) for j in range(n))
+    for x in (member, tuple(a + b for a, b in zip(member, offset))):
+        assert intlat.contains(lat, x) == solve_membership(basis, x)
+
+
+@HYPOTHESIS
+@given(nonsingular_rows(max_n=5))
+def test_adjugate_contract(rows):
+    m = IntMatrix(rows)
+    assert m @ intlat.adjugate(m) == IntMatrix.identity(m.rows).scaled(cofactor_det(rows))
+
+
+@HYPOTHESIS
+@given(nonsingular_rows(), st.sampled_from([1, 2, 3]))
+def test_normalize_first_column_keeps_lattice(rows, k):
+    lat = Lattice(rows, k)
+    basis = lat.int_matrix.entries
+    norm = intlat.normalize_first_column(lat).gen.entries
+    g = math.gcd(*(r[0] for r in basis))
+    assert [r[0] for r in norm] == [g] + [0] * (lat.n - 1)
+    # a sublattice of the same volume is the lattice itself
+    assert abs(cofactor_det(norm)) == abs(cofactor_det(basis))
+    assert all(solve_membership(basis, r) for r in norm)
 
 
 class TestReduceModPeriod:

@@ -157,6 +157,8 @@ def _construct_lattice(args) -> tuple:
             i, j = need("i"), need("j")
             if i >= MAX_LENGTH.bit_length():  # length 2^i > MAX_LENGTH, not built
                 raise UsageFault(f"--i {i} gives length 2^{i}, above the ceiling {MAX_LENGTH}")
+            if j >= MAX_LENGTH.bit_length():  # minimum distance 2^j > MAX_LENGTH
+                raise UsageFault(f"--j {j} gives distance 2^{j}, above the ceiling {MAX_LENGTH}")
             lat = hadamard.g_matrix(i, j)
             nominal = {
                 "min_distance": 2**j,

@@ -92,38 +92,15 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.entries]})"
 
 
-def det(m: IntMatrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise DimensionError("determinant needs a square matrix")
-    n = m.rows
-    a = [list(r) for r in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def _pivot_column(m: list, j: int, p: int, rows) -> None:
+def _pivot_column(m: list, j: int, p: int, rows) -> int:
     """Euclid on column j over the row indices ``rows`` (which include p).
 
     Repeatedly moves the smallest nonzero entry to row p and floor-reduces
     the other rows by it, until row p holds the positive gcd and the other
-    rows are zero in column j.  Row operations only, in place.
+    rows are zero in column j.  Row operations only, in place.  Returns
+    the determinant (+1 or -1) of those row operations.
     """
+    sign = 1
     while True:
         best = -1
         for i in rows:
@@ -134,6 +111,7 @@ def _pivot_column(m: list, j: int, p: int, rows) -> None:
             raise SingularMatrixError(f"no nonzero pivot in column {j}")
         if best != p:
             m[best], m[p] = m[p], m[best]
+            sign = -sign
         pivot = m[p][j]
         clean = True
         for i in rows:
@@ -147,6 +125,23 @@ def _pivot_column(m: list, j: int, p: int, rows) -> None:
             break
     if m[p][j] < 0:
         m[p] = [-v for v in m[p]]
+        sign = -sign
+    return sign
+
+
+def det(m: IntMatrix) -> int:
+    """Exact determinant: the signed diagonal product of the triangular
+    form that the HNF column steps leave."""
+    if m.rows != m.cols:
+        raise DimensionError("determinant needs a square matrix")
+    a = [list(r) for r in m.entries]
+    d = 1
+    for j in range(m.rows - 1, -1, -1):
+        try:
+            d *= _pivot_column(a, j, j, range(j + 1)) * a[j][j]
+        except SingularMatrixError:
+            return 0
+    return d
 
 
 def _hnf_rows(rows: list, cols: int) -> list:
@@ -182,93 +177,51 @@ def hnf(m: IntMatrix) -> IntMatrix:
 
 
 def snf(m: IntMatrix) -> list:
-    """Elementary divisors s_1 | s_2 | ... | s_n with product |det|."""
+    """Elementary divisors s_1 | s_2 | ... | s_n with product |det|.
+
+    Row HNFs of the matrix and of its transpose, alternated until the
+    matrix is diagonal (Kannan & Bachem 1979); gcd/lcm swaps then make
+    the diagonal a divisor chain.
+    """
     if m.rows != m.cols:
         raise DimensionError("snf needs a square matrix")
     n = m.rows
-    a = [list(r) for r in m.entries]
-    for t in range(n):
-        # move the absolutely smallest nonzero entry of the submatrix to (t,t)
-        while True:
-            pi = pj = -1
-            for i in range(t, n):
-                for j in range(t, n):
-                    v = a[i][j]
-                    if v != 0 and (pi < 0 or abs(v) < abs(a[pi][pj])):
-                        pi, pj = i, j
-            if pi < 0:
-                raise SingularMatrixError("rank-deficient input to snf")
-            if pi != t:
-                a[pi], a[t] = a[t], a[pi]
-            if pj != t:
-                for row in a:
-                    row[pj], row[t] = row[t], row[pj]
-            pivot = a[t][t]
-            dirty = False
-            for i in range(t + 1, n):
-                q = a[i][t] // pivot
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                if a[i][t] != 0:
-                    dirty = True
-            for j in range(t + 1, n):
-                q = a[t][j] // pivot
-                if q:
-                    for row in a:
-                        row[j] -= q * row[t]
-                if a[t][j] != 0:
-                    dirty = True
-            if dirty:
-                continue
-            # pivot must divide the rest of the submatrix
-            offender = -1
-            for i in range(t + 1, n):
-                if any(a[i][j] % pivot for j in range(t + 1, n)):
-                    offender = i
-                    break
-            if offender < 0:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-    return [abs(a[i][i]) for i in range(n)]
+    # The first pass reduces the input itself: that rejects a singular
+    # input and makes a diagonal one positive before the diagonality test.
+    a = _hnf_rows(m.entries, n)
+    while any(a[i][k] for i in range(n) for k in range(i)):
+        a = _hnf_rows(list(zip(*a)), n)
+    s = [a[i][i] for i in range(n)]
+    for i in range(n):
+        for k in range(i + 1, n):
+            g = math.gcd(s[i], s[k])
+            s[i], s[k] = g, s[i] // g * s[k]
+    return s
 
 
 def adjugate(m: IntMatrix) -> IntMatrix:
-    """Exact adjugate, so that m @ adjugate(m) == det(m) * I."""
+    """Exact adjugate, so that m @ adjugate(m) == det(m) * I: entry (i, j)
+    is the cofactor of m at (j, i)."""
     if m.rows != m.cols:
         raise DimensionError("adjugate needs a square matrix")
-    d = det(m)
-    if d == 0:
+    if det(m) == 0:
         raise SingularMatrixError("adjugate of a singular matrix")
     n = m.rows
-    # Gauss-Jordan over Fractions, then clear the 1/det denominator.
-    work = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(m.entries)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if work[r][col] != 0)
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [v * inv for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [v - f * w for v, w in zip(work[r], work[col])]
-    adj = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = work[i][n + j] * d
-            if v.denominator != 1:
-                raise ArithmeticError("adjugate came out fractional")
-            row.append(v.numerator)
-        adj.append(row)
-    return IntMatrix(adj)
+    if n == 1:
+        return IntMatrix([[1]])
+
+    def cofactor(i, j):
+        minor = [r[:j] + r[j + 1 :] for k, r in enumerate(m.entries) if k != i]
+        return (-1) ** (i + j) * det(IntMatrix(minor))
+
+    return IntMatrix([[cofactor(j, i) for j in range(n)] for i in range(n)])
 
 
 class Lattice:
     """A full-rank sublattice of Z^n: integer generator rows plus an exact
     rational scale factor applied to every row."""
 
-    __slots__ = ("gen", "scale", "_int_matrix", "_det", "_hnf")
+    __slots__ = ("gen", "scale", "_gen_hnf", "_int_matrix", "_hnf")
 
     def __init__(self, gen, scale=1):
         if not isinstance(gen, IntMatrix):
@@ -278,12 +231,14 @@ class Lattice:
         scale = Fraction(scale)
         if scale <= 0:
             raise ValueError("scale must be positive")
-        if det(gen) == 0:
-            raise SingularMatrixError("generator rows are linearly dependent")
+        try:
+            gen_hnf = hnf(gen)
+        except SingularMatrixError:
+            raise SingularMatrixError("generator rows are linearly dependent") from None
         object.__setattr__(self, "gen", gen)
         object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "_gen_hnf", gen_hnf)
         object.__setattr__(self, "_int_matrix", None)
-        object.__setattr__(self, "_det", None)
         object.__setattr__(self, "_hnf", None)
 
     def __setattr__(self, name, value):
@@ -291,6 +246,22 @@ class Lattice:
 
     def _set(self, name, value):
         object.__setattr__(self, name, value)
+
+    def _scaled(self, m: IntMatrix) -> IntMatrix:
+        """m times the scale; raises if that makes it fractional."""
+        num, den = self.scale.numerator, self.scale.denominator
+        rows = []
+        for r in m.entries:
+            row = []
+            for v in r:
+                t = v * num
+                if t % den:
+                    raise IntegralityError(
+                        f"scale {self.scale} does not keep the generator integral"
+                    )
+                row.append(t // den)
+            rows.append(row)
+        return IntMatrix(rows)
 
     @property
     def n(self) -> int:
@@ -300,37 +271,21 @@ class Lattice:
     def int_matrix(self) -> IntMatrix:
         """The scaled generator; raises if the scale makes it fractional."""
         if self._int_matrix is None:
-            num, den = self.scale.numerator, self.scale.denominator
-            rows = []
-            for r in self.gen.entries:
-                row = []
-                for v in r:
-                    t = v * num
-                    if t % den:
-                        raise IntegralityError(
-                            f"scale {self.scale} does not keep the generator integral"
-                        )
-                    row.append(t // den)
-                rows.append(row)
-            self._set("_int_matrix", IntMatrix(rows))
+            self._set("_int_matrix", self._scaled(self.gen))
         return self._int_matrix
 
     @property
-    def det(self) -> int:
-        """Signed determinant of the scaled integer generator."""
-        if self._det is None:
-            self._set("_det", det(self.int_matrix))
-        return self._det
-
-    @property
     def volume(self) -> int:
-        """|det| of the scaled generator: the index of the lattice in Z^n."""
-        return abs(self.det)
+        """|det| of the scaled generator, the product of the HNF diagonal:
+        the index of the lattice in Z^n."""
+        return math.prod(self.hnf.entries[i][i] for i in range(self.n))
 
     @property
     def hnf(self) -> IntMatrix:
+        """HNF of the scaled generator: HNF(c.G) = c.HNF(G) for c > 0, and
+        c.HNF(G) is integral exactly when c.G is."""
         if self._hnf is None:
-            self._set("_hnf", hnf(self.int_matrix))
+            self._set("_hnf", self._scaled(self._gen_hnf))
         return self._hnf
 
     def __repr__(self) -> str:

@@ -77,10 +77,6 @@ def lee_dist(x, y, m: int) -> int:
     return total
 
 
-def lee_weight(x, m: int) -> int:
-    return lee_dist(x, tuple(0 for _ in x), m)
-
-
 def lee_sphere_size(n: int, radius: int) -> int:
     """Number of points of Z^n within Manhattan distance ``radius``."""
     if n < 1 or radius < 0:

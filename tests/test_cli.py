@@ -62,6 +62,7 @@ class TestConstruct:
             ["gn", "--n", "257"],
             ["gw", "--n", "257"],
             ["scaled", "--n", "257", "--d", "4"],
+            ["gij", "--i", "3", "--j", "9"],
         ],
     )
     def test_length_ceiling_exits_2(self, argv, capsys):

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from leelat import intlat
@@ -326,6 +326,78 @@ def test_normalize_first_column_keeps_lattice(rows, k):
     # a sublattice of the same volume is the lattice itself
     assert abs(cofactor_det(norm)) == abs(cofactor_det(basis))
     assert all(solve_membership(basis, r) for r in norm)
+
+
+# det and snf run on the HNF column step; these check them against
+# cofactor expansion and gcds of minors, singular and 1 x 1 inputs included.
+@st.composite
+def singular_rows(draw, max_n=5, span=4):
+    """Row k replaced by a combination of the others; on a diagonal
+    matrix row k becomes zero, so the matrix stays diagonal."""
+    n = draw(st.integers(1, max_n))
+    diagonal = draw(st.booleans())
+    rows = [
+        [draw(st.integers(-span, span)) if not diagonal or i == j else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    k = draw(st.integers(0, n - 1))
+    c = [0 if diagonal or i == k else draw(st.integers(-2, 2)) for i in range(n)]
+    rows[k] = [sum(ci * r[j] for ci, r in zip(c, rows)) for j in range(n)]
+    return rows
+
+
+@st.composite
+def diagonal_rows(draw, max_n=5):
+    d = draw(st.lists(st.integers(-12, 12).filter(bool), min_size=1, max_size=max_n))
+    return [[v if i == j else 0 for j in range(len(d))] for i, v in enumerate(d)]
+
+
+@HYPOTHESIS
+@given(st.one_of(nonsingular_rows(max_n=5), singular_rows(), diagonal_rows()))
+@example([[0]])
+@example([[-7]])
+@example([[1, 2], [2, 4]])
+def test_det_matches_cofactor(rows):
+    assert intlat.det(IntMatrix(rows)) == cofactor_det(rows)
+
+
+@HYPOTHESIS
+@given(st.one_of(nonsingular_rows(max_n=5), diagonal_rows()))
+@example([[-3]])
+@example([[-2, 0], [0, 6]])
+@example([[3, 0], [2, 2]])
+def test_snf_matches_minor_gcd(rows):
+    assert intlat.snf(IntMatrix(rows)) == minor_gcd_snf(rows)
+
+
+@HYPOTHESIS
+@given(singular_rows())
+@example([[0]])
+@example([[2, 0], [0, 0]])
+def test_snf_rejects_singular(rows):
+    assert cofactor_det(rows) == 0
+    with pytest.raises(SingularMatrixError):
+        intlat.snf(IntMatrix(rows))
+
+
+@HYPOTHESIS
+@given(
+    nonsingular_rows(),
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from([1, 2, 3, Fraction(1, 2), Fraction(1, 3), Fraction(3, 2), Fraction(2, 3)]),
+)
+@example([[2, 4], [0, 6]], 1, Fraction(1, 2))
+@example([[1, 0], [0, 1]], 1, Fraction(1, 3))
+def test_scaled_hnf_and_volume(rows, k, s):
+    rows = [[k * v for v in r] for r in rows]
+    if any((v * s).denominator != 1 for r in rows for v in r):
+        for attr in ("int_matrix", "hnf", "volume"):
+            with pytest.raises(IntegralityError):
+                getattr(Lattice(rows, s), attr)
+        return
+    lat = Lattice(rows, s)
+    assert lat.hnf == intlat.hnf(lat.int_matrix)
+    assert lat.volume == abs(cofactor_det(lat.int_matrix.entries))
 
 
 class TestReduceModPeriod:

@@ -105,11 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    """The text of ``path``, or of stdin for "-"."""
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
+    except UnicodeDecodeError as e:
+        raise FormatFault(f"{'stdin' if path == '-' else path} is not UTF-8 text: {e}") from e
     except OSError as e:
         raise FormatFault(f"cannot read {path}: {e}") from e
 
@@ -251,7 +254,7 @@ def cmd_density(args) -> int:
 
 
 def _read_points(args, length: int):
-    text = _read_text(args.input) if args.input else sys.stdin.read()
+    text = _read_text(args.input or "-")
     points = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -10,14 +10,14 @@ squeezes a Lee sphere into a small box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import analyzer, intlat, metric
 from .analyzer import CosetTable
-from .errors import BoundViolationError, DimensionError, IntegralityError
+from .errors import BoundViolationError, CapExceededError, DimensionError, IntegralityError
 from .hadamard import HadamardMatrix, sylvester
-from .intlat import Lattice
+from .intlat import IntMatrix, Lattice
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,44 @@ def _require_symmetric(h: HadamardMatrix):
                 )
 
 
+def _sphere_images(m: IntMatrix, radius: int, center=None):
+    """Yield m.p for every point p of the Lee sphere of the given radius
+    about ``center`` (default the origin), each point exactly once.
+
+    No point set is stored.  The walk fixes the nonzero coordinates of
+    p - center in increasing position; fixing coordinate j to v adds v
+    times column j of m to the image carried down, so a point costs one
+    vector addition instead of a matrix-vector product.
+    """
+    n = m.cols
+    size = metric.lee_sphere_size(n, radius)
+    if size > metric.DEFAULT_CAP:
+        raise CapExceededError(f"sphere has {size} points, cap is {metric.DEFAULT_CAP}")
+    if center is None:
+        center = (0,) * n
+    elif len(center) != n:
+        raise DimensionError("center has the wrong length")
+    cols = [m.column(j) for j in range(n)]
+
+    def walk(start, rem, image):
+        # every point with its first nonzero offset at or after ``start``
+        for j in range(start, n):
+            col = cols[j]
+            up = down = image
+            for left in range(rem - 1, -1, -1):
+                up = tuple([a + b for a, b in zip(up, col)])
+                down = tuple([a - b for a, b in zip(down, col)])
+                yield up
+                yield down
+                if left and j + 1 < n:
+                    yield from walk(j + 1, left, up)
+                    yield from walk(j + 1, left, down)
+
+    image = m.mat_vec(center)
+    yield image
+    yield from walk(0, radius, image)
+
+
 @dataclass(frozen=True)
 class ContinuousBoxReport:
     order: int
@@ -102,19 +140,22 @@ def continuous_box(h: HadamardMatrix, radius: int, points=None) -> ContinuousBox
     The bound itself follows from the entries being +-1 and the triangle
     inequality; here it is measured on the full sphere (or the supplied
     sample points) and the extreme point radius*e_1 is confirmed to attain
-    it.
+    it.  A full sphere of more than ``metric.DEFAULT_CAP`` points raises
+    ``CapExceededError``.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
     n = h.order
     if points is None:
-        points = metric.enumerate_sphere(n, radius)
+        images = _sphere_images(h.matrix, radius)
+    else:
+        images = map(h.matrix.mat_vec, points)
     max_abs = 0
     count = 0
-    for x in points:
-        for v in h.matrix.mat_vec(x):
-            if abs(v) > max_abs:
-                max_abs = abs(v)
+    for image in images:
+        top = max(map(abs, image))
+        if top > max_abs:
+            max_abs = top
         count += 1
     if max_abs > radius:
         raise BoundViolationError(
@@ -156,12 +197,27 @@ def hadamard_kernel_code(h: HadamardMatrix) -> Lattice:
 @dataclass(frozen=True)
 class TransformSpec:
     """Everything the discrete involution needs: the symmetric Hadamard
-    matrix of order d^2, its kernel code, and the coset-leader table."""
+    matrix of order d^2, its kernel code, and the coset-leader table.
+
+    ``cosets`` re-keys the table by syndrome: the code is the kernel of
+    x -> H.x mod d, so H.p mod d names the coset of p exactly.  It maps
+    each syndrome to the coset's leader s and H.s.
+    """
 
     h: HadamardMatrix
     d: int
     code: Lattice
     table: CosetTable
+    cosets: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        cosets = {}
+        for s in self.table.leaders.values():
+            hs = self.h.matrix.mat_vec(s)
+            cosets[tuple(v % self.d for v in hs)] = (s, hs)
+        if len(cosets) != self.table.size:
+            raise ArithmeticError("two coset leaders share a syndrome")
+        object.__setattr__(self, "cosets", cosets)
 
     @classmethod
     def build(cls, d: int, coset_cap: int = analyzer.DEFAULT_COSET_CAP) -> "TransformSpec":
@@ -182,16 +238,26 @@ class TransformSpec:
         return self.table.rho
 
 
+def _discrete_image(spec: TransformSpec, hp) -> tuple:
+    """The involution's image of p, given hp = H.p: with s the leader of
+    p's coset, (H.p - H.s)/d + s."""
+    d = spec.d
+    s, hs = spec.cosets[tuple([v % d for v in hp])]
+    image = []
+    for a, b, c in zip(hp, hs, s):
+        q, r = divmod(a - b, d)
+        if r:
+            raise IntegralityError("H.(p - s) is not divisible by d")
+        image.append(q + c)
+    return tuple(image)
+
+
 def discrete_transform(spec: TransformSpec, p) -> tuple:
     """The involution of Z^{d^2}: split p = c + s with c in the code and s
     its coset leader, and return (H.c)/d + s."""
     if len(p) != spec.h.order:
         raise DimensionError("point length disagrees with the transform order")
-    key = intlat.canonical_residue(spec.code, p)
-    s = spec.table.leaders[key]
-    c = tuple(a - b for a, b in zip(p, s))
-    tc = t_apply(spec.h, c).to_int_vector()
-    return tuple(a + b for a, b in zip(tc, s))
+    return _discrete_image(spec, spec.h.matrix.mat_vec(p))
 
 
 def check_involution_discrete(spec: TransformSpec, points) -> int:
@@ -217,21 +283,19 @@ class DiscreteBoxReport:
 
 def discrete_box(spec: TransformSpec, radius: int, center=None) -> DiscreteBoxReport:
     """Map a full Lee sphere through the involution and measure the box it
-    lands in, checking the guaranteed per-axis extent."""
+    lands in, checking the guaranteed per-axis extent.
+
+    Spheres of more than ``metric.DEFAULT_CAP`` points raise
+    ``CapExceededError``."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    n = spec.h.order
-    points = metric.enumerate_sphere(n, radius, center=center)
-    lo = [None] * n
-    hi = [None] * n
-    count = 0
-    for p in points:
-        image = discrete_transform(spec, p)
-        for i, v in enumerate(image):
-            if lo[i] is None or v < lo[i]:
-                lo[i] = v
-            if hi[i] is None or v > hi[i]:
-                hi[i] = v
+    images = _sphere_images(spec.h.matrix, radius, center)
+    lo = hi = _discrete_image(spec, next(images))
+    count = 1
+    for hp in images:
+        image = _discrete_image(spec, hp)
+        lo = tuple(map(min, lo, image))
+        hi = tuple(map(max, hi, image))
         count += 1
     extents = tuple(h - l + 1 for l, h in zip(lo, hi))
     rho = spec.rho

@@ -292,6 +292,20 @@ class TestTransform:
     def test_invalid_d_exits_2(self):
         assert run_cli(["transform", "--d", "3", "--mode", "disc"]) == 2
 
+    @pytest.mark.parametrize("source", ["input", "stdin"])
+    def test_non_utf8_exits_3(self, source, tmp_path, capsys, monkeypatch):
+        data = b"1 0 0 0\n\xff\xfe 1 1 1\n"
+        argv = ["transform", "--d", "2", "--mode", "disc"]
+        if source == "input":
+            f = tmp_path / "pts.txt"
+            f.write_bytes(data)
+            argv += ["--input", str(f)]
+        else:
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        assert run_cli(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "UTF-8" in err and err.count("\n") == 1
+
 
 class TestParser:
     def test_unknown_family_exits_2(self):

@@ -1,13 +1,28 @@
+import functools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leelat import analyzer, hadamard, intlat, metric, xform
-from leelat.errors import DimensionError, IntegralityError
+from leelat.errors import CapExceededError, DimensionError, IntegralityError
 from leelat.intlat import Lattice
-from leelat.xform import RadicalVector, TransformSpec
+from leelat.xform import ContinuousBoxReport, DiscreteBoxReport, RadicalVector, TransformSpec
+
+HYPOTHESIS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@functools.lru_cache(maxsize=None)
+def built_spec(d):
+    return TransformSpec.build(d)
+
+
+def points(n, span):
+    return st.lists(st.integers(-span, span), min_size=n, max_size=n).map(tuple)
 
 EVEN_SUM_Z4 = Lattice(
     [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 0, 2]]
@@ -200,6 +215,81 @@ class TestDiscreteBox:
         spec = TransformSpec.build(2)
         rep = xform.discrete_box(spec, 2, center=(5, -7, 1, 0))
         assert all(e <= rep.bound for e in rep.extents)
+
+    @pytest.mark.parametrize("center", [None, (3, -1, 0, 7, -5, 2, 0, 0, 1, -9, 4, 0, 0, -2, 6, 1)])
+    def test_d4_spheres(self, center):
+        # beyond the dimension limit of metric.enumerate_sphere
+        spec = built_spec(4)
+        for radius in range(4):
+            rep = xform.discrete_box(spec, radius, center=center)
+            assert rep.points_checked == metric.lee_sphere_size(16, radius)
+            assert all(e <= rep.bound for e in rep.extents)
+
+    def test_center_length_checked(self):
+        with pytest.raises(DimensionError):
+            xform.discrete_box(built_spec(2), 1, center=(0, 0, 0))
+
+    def test_sphere_size_cap(self):
+        # the walk is bounded by the sphere's point count, not its dimension
+        radius = 1
+        while metric.lee_sphere_size(16, radius) <= metric.DEFAULT_CAP:
+            radius += 1
+        with pytest.raises(CapExceededError):
+            xform.discrete_box(built_spec(4), radius)
+        with pytest.raises(CapExceededError):
+            xform.continuous_box(hadamard.sylvester(4), radius)
+
+
+# Oracles for the streamed sweeps and the syndrome-keyed involution, written
+# from the definitions: the leader comes from canonical_residue and the
+# coset table, the images from a full mat_vec, the sphere from
+# metric.enumerate_sphere.
+
+
+def leader_image(spec, p):
+    s = spec.table.leaders[intlat.canonical_residue(spec.code, p)]
+    hc = spec.h.matrix.mat_vec(tuple(a - b for a, b in zip(p, s)))
+    assert all(v % spec.d == 0 for v in hc)
+    return tuple(v // spec.d + b for v, b in zip(hc, s))
+
+
+@HYPOTHESIS
+@given(st.data())
+def test_discrete_transform_matches_leader_formula(data):
+    for d in (2, 4):
+        spec = built_spec(d)
+        p = data.draw(points(d * d, 60))
+        assert xform.discrete_transform(spec, p) == leader_image(spec, p)
+
+
+@HYPOTHESIS
+@given(points(16, 50))
+def test_involution_d4_random(p):
+    spec = built_spec(4)
+    assert xform.discrete_transform(spec, xform.discrete_transform(spec, p)) == p
+
+
+@HYPOTHESIS
+@given(st.integers(0, 6), points(4, 40))
+def test_streamed_sweeps_match_brute_sphere(radius, center):
+    spec = built_spec(2)
+    h = spec.h
+    sphere = metric.enumerate_sphere(4, radius, center=center)
+    walked = Counter(xform._sphere_images(h.matrix, radius, center))
+    assert walked == Counter(h.matrix.mat_vec(p) for p in sphere)
+
+    images = [leader_image(spec, p) for p in sphere]
+    extents = tuple(max(col) - min(col) + 1 for col in zip(*images))
+    bound = 2 * math.ceil((radius + spec.rho) / 2) + 2 * spec.rho + 1
+    assert xform.discrete_box(spec, radius, center=center) == DiscreteBoxReport(
+        radius=radius, rho=spec.rho, bound=bound, extents=extents, points_checked=len(sphere)
+    )
+
+    origin = metric.enumerate_sphere(4, radius)
+    max_abs = max(abs(v) for p in origin for v in h.matrix.mat_vec(p))
+    assert xform.continuous_box(h, radius) == ContinuousBoxReport(
+        order=4, radius=radius, max_abs=max_abs, points_checked=len(origin), witness_attains=True
+    )
 
 
 class TestTransformSpec:

@@ -24,7 +24,6 @@ DEFAULT_COSET_CAP = 10**6
 def min_distance(
     lat: Lattice,
     cap: int | None = None,
-    hard_cap: int = DEFAULT_HARD_CAP,
     point_budget: int = DEFAULT_POINT_BUDGET,
 ) -> int:
     """Minimum Manhattan weight over the nonzero lattice vectors.
@@ -35,10 +34,10 @@ def min_distance(
     coordinate j to one residue class mod ``hnf[j][j]``, tried smallest
     absolute value first.  Of each pair x, -x only the one whose last
     nonzero coordinate is positive is visited.  The weight bound deepens
-    w = 1, 2, ... up to ``cap`` (``hard_cap`` without one), and each pass
-    looks for a vector of weight exactly w.  ``point_budget`` caps the
-    search nodes over all passes.  An exhausted cap or budget raises
-    InconclusiveError, never a wrong answer.
+    w = 1, 2, ... up to ``cap`` (``DEFAULT_HARD_CAP`` without one), and
+    each pass looks for a vector of weight exactly w.  ``point_budget``
+    caps the search nodes over all passes.  An exhausted cap or budget
+    raises InconclusiveError, never a wrong answer.
     """
     h = lat.hnf.entries
     n = lat.n
@@ -47,7 +46,7 @@ def min_distance(
     # coefficient moves only these lower coordinates
     below = [tuple((k, v) for k, v in enumerate(h[j][:j]) if v) for j in range(n)]
     partial = [0] * n  # contribution of the rows chosen so far
-    limit = cap if cap is not None else hard_cap
+    limit = cap if cap is not None else DEFAULT_HARD_CAP
     nodes = 0
     w = 0
 
@@ -130,7 +129,6 @@ class CosetTable:
     covering radius ``rho`` is the largest leader weight.
     """
 
-    divisors: tuple
     leaders: dict
     rho: int
 
@@ -149,7 +147,6 @@ def coset_table(lat: Lattice, cap: int = DEFAULT_COSET_CAP) -> CosetTable:
     volume = lat.volume
     if volume > cap:
         raise CapExceededError(f"volume {volume} exceeds the coset cap {cap}")
-    divisors = tuple(intlat.snf(lat.int_matrix))
     leaders: dict = {}
     rho = 0
     w = 0
@@ -162,7 +159,7 @@ def coset_table(lat: Lattice, cap: int = DEFAULT_COSET_CAP) -> CosetTable:
                 if len(leaders) == volume:
                     break
         w += 1
-    return CosetTable(divisors=divisors, leaders=leaders, rho=rho)
+    return CosetTable(leaders=leaders, rho=rho)
 
 
 def covering_radius(lat: Lattice, cap: int = DEFAULT_COSET_CAP) -> int:

@@ -25,19 +25,9 @@ EXIT_INCONCLUSIVE = 4
 #: entries, so an unchecked size flag could exhaust memory
 MAX_LENGTH = 256
 
-FAMILIES = (
-    "hadamard",
-    "gij",
-    "minkowski3",
-    "dim4",
-    "n2perfect",
-    "gn",
-    "double",
-    "scaled",
-    "gw",
-    "kronecker",
-    "puncture",
-)
+#: largest ``analyze --coset-cap``; a coset table costs about 180 B a coset,
+#: so this bounds it near 1.8 GB
+MAX_COSET_CAP = 10**7
 
 
 class UsageFault(Exception):
@@ -48,8 +38,9 @@ class FormatFault(Exception):
     pass
 
 
-def _int_at_least(lo: int):
-    """argparse type for integers >= lo; anything else is a usage error."""
+def _bounded_int(lo: int, hi: int | None = None):
+    """argparse type for integers in [lo, hi] (no upper bound when hi is
+    None); anything else is a usage error."""
 
     def parse(text: str) -> int:
         try:
@@ -58,6 +49,8 @@ def _int_at_least(lo: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be at most {hi}, got {value}")
         return value
 
     return parse
@@ -89,10 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="measure a generator matrix with the oracles")
     a.add_argument("matrix", help="matrix file in the shared text format, or - for stdin")
-    a.add_argument("--min-dist-cap", type=_int_at_least(1), default=None,
+    a.add_argument("--min-dist-cap", type=_bounded_int(1), default=None,
                    help="weight cap for the distance search")
-    a.add_argument("--coset-cap", type=_int_at_least(0), default=analyzer.DEFAULT_COSET_CAP,
-                   help="skip the covering radius above this volume")
+    a.add_argument("--coset-cap", type=_bounded_int(0, MAX_COSET_CAP),
+                   default=analyzer.DEFAULT_COSET_CAP,
+                   help=f"skip the covering radius above this volume (<= {MAX_COSET_CAP})")
 
     t = sub.add_parser("density", help="print the packing-density table as CSV")
     t.add_argument("--max-n", type=int, default=10, help="largest length (<= 12)")
@@ -131,75 +125,63 @@ def _fraction_str(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+def _hadamard(order: int) -> intlat.Lattice:
+    """Sylvester for a power of two, Paley on q = order - 1 otherwise."""
+    if order >= 1 and order & (order - 1) == 0:
+        h = hadamard.sylvester(order.bit_length() - 1)
+    else:
+        h = hadamard.paley(order - 1)
+    return hadamard.hadamard_code(h)
+
+
+def _gij(i: int, j: int) -> intlat.Lattice:
+    if i >= MAX_LENGTH.bit_length():  # length 2^i > MAX_LENGTH, not built
+        raise UsageFault(f"--i {i} gives length 2^{i}, above the ceiling {MAX_LENGTH}")
+    if j >= MAX_LENGTH.bit_length():  # minimum distance 2^j > MAX_LENGTH
+        raise UsageFault(f"--j {j} gives distance 2^{j}, above the ceiling {MAX_LENGTH}")
+    return hadamard.g_matrix(i, j)
+
+
+def _kronecker(a: intlat.Lattice, b: intlat.Lattice) -> intlat.Lattice:
+    if a.n * b.n > MAX_LENGTH:
+        raise UsageFault(f"kronecker length {a.n * b.n} is above the ceiling {MAX_LENGTH}")
+    return intlat.kronecker(a, b)
+
+
+#: family -> (flags, builder, nominal).  The builder takes the flag values
+#: in order, matrix files already loaded; ``nominal`` maps the same values
+#: to (minimum distance, volume formula or None), or is None when the
+#: family has no nominal parameters.
+FAMILIES = {
+    "hadamard": (("order",), _hadamard, lambda order: (order, f"{order}^{order//2}")),
+    "gij": (("i", "j"), _gij, lambda i, j: (2**j, str(hadamard.g_volume_formula(i, j)))),
+    "minkowski3": (("d",), constructions.minkowski3, lambda d: (d, "19/108*d^3")),
+    "dim4": (("d",), constructions.dim4, None),
+    "n2perfect": (("d",), constructions.n2_perfect, lambda d: (d, "1/2*d^2")),
+    "gn": (("n",), constructions.gn, lambda n: (4, f"{4 * n}")),
+    "double": (("input",), constructions.double, lambda lat: (4, None)),
+    "scaled": (("n", "d"), constructions.scaled_diameter_code, lambda n, d: (d, f"{4 * n}*(d/4)^{n}")),
+    "gw": (("n",), constructions.gw_perfect, lambda n: (3, f"{2 * n + 1}")),
+    "kronecker": (("a", "b"), _kronecker, None),
+    "puncture": (("input",), lambda lat: intlat.puncture(intlat.normalize_first_column(lat)), None),
+}
+
+
 def _construct_lattice(args) -> tuple:
     """Build (lattice, nominal parameter document) for the chosen family."""
-
-    def need(name):
+    fam = args.family
+    flags, build, nominal = FAMILIES[fam]
+    values = []
+    for name in flags:
         value = getattr(args, name)
         if value is None:
-            raise UsageFault(f"family {args.family} requires --{name}")
-        return value
-
-    def need_length(name):
-        value = need(name)
-        if value > MAX_LENGTH:
+            raise UsageFault(f"family {fam} requires --{name}")
+        if name in ("n", "order") and value > MAX_LENGTH:
             raise UsageFault(f"--{name} {value} is above the length ceiling {MAX_LENGTH}")
-        return value
-
-    fam = args.family
+        values.append(_load_lattice(value) if name in ("input", "a", "b") else value)
     try:
-        if fam == "hadamard":
-            order = need_length("order")
-            if order >= 1 and order & (order - 1) == 0:
-                h = hadamard.sylvester(order.bit_length() - 1)
-            else:
-                h = hadamard.paley(order - 1)
-            lat = hadamard.hadamard_code(h)
-            nominal = {"min_distance": order, "volume_formula": f"{order}^{order//2}"}
-        elif fam == "gij":
-            i, j = need("i"), need("j")
-            if i >= MAX_LENGTH.bit_length():  # length 2^i > MAX_LENGTH, not built
-                raise UsageFault(f"--i {i} gives length 2^{i}, above the ceiling {MAX_LENGTH}")
-            if j >= MAX_LENGTH.bit_length():  # minimum distance 2^j > MAX_LENGTH
-                raise UsageFault(f"--j {j} gives distance 2^{j}, above the ceiling {MAX_LENGTH}")
-            lat = hadamard.g_matrix(i, j)
-            nominal = {
-                "min_distance": 2**j,
-                "volume_formula": str(hadamard.g_volume_formula(i, j)),
-            }
-        elif fam == "minkowski3":
-            lat = constructions.minkowski3(need("d"))
-            nominal = {"min_distance": args.d, "volume_formula": "19/108*d^3"}
-        elif fam == "dim4":
-            lat = constructions.dim4(need("d"))
-            nominal = {}
-        elif fam == "n2perfect":
-            lat = constructions.n2_perfect(need("d"))
-            nominal = {"min_distance": args.d, "volume_formula": "1/2*d^2"}
-        elif fam == "gn":
-            lat = constructions.gn(need_length("n"))
-            nominal = {"min_distance": 4, "volume_formula": f"{4 * args.n}"}
-        elif fam == "scaled":
-            lat = constructions.scaled_diameter_code(need_length("n"), need("d"))
-            nominal = {"min_distance": args.d, "volume_formula": f"{4 * args.n}*(d/4)^{args.n}"}
-        elif fam == "gw":
-            lat = constructions.gw_perfect(need_length("n"))
-            nominal = {"min_distance": 3, "volume_formula": f"{2 * args.n + 1}"}
-        elif fam == "double":
-            lat = constructions.double(_load_lattice(need("input")))
-            nominal = {"min_distance": 4}
-        elif fam == "kronecker":
-            a, b = _load_lattice(need("a")), _load_lattice(need("b"))
-            if a.n * b.n > MAX_LENGTH:
-                raise UsageFault(f"kronecker length {a.n * b.n} is above the ceiling {MAX_LENGTH}")
-            lat = intlat.kronecker(a, b)
-            nominal = {}
-        elif fam == "puncture":
-            src = intlat.normalize_first_column(_load_lattice(need("input")))
-            lat = intlat.puncture(src)
-            nominal = {}
-        else:  # pragma: no cover - argparse already restricts the choices
-            raise UsageFault(f"unknown family {fam}")
+        lat = build(*values)
+        d, formula = nominal(*values) if nominal else (None, None)
     except (ValueError, LatticeError) as e:
         raise UsageFault(f"{fam}: {e}") from e
 
@@ -211,14 +193,13 @@ def _construct_lattice(args) -> tuple:
         "period": list(periods),
         "q": q,
     }
-    if "min_distance" in nominal:
-        d = nominal["min_distance"]
+    if d is not None:
         params = intlat.CodeParams(n=lat.n, d=d, v=lat.volume, q=q)
         doc["min_distance_nominal"] = d
         doc["density"] = f"{params.density.numerator}/{params.density.denominator}"
         doc["density_decimal"] = analyzer.density_decimal(params.density)
-    if nominal.get("volume_formula"):
-        doc["volume_formula"] = nominal["volume_formula"]
+    if formula:
+        doc["volume_formula"] = formula
     if fam == "dim4":
         doc["reconciliation"] = constructions.dim4_reconciliation(args.d)
     return lat, doc

@@ -8,6 +8,7 @@ anywhere in this module.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -69,7 +70,7 @@ class IntMatrix:
         """Matrix times column vector."""
         if len(x) != self.cols:
             raise DimensionError("vector length disagrees with matrix width")
-        return tuple(sum(a * b for a, b in zip(r, x)) for r in self.entries)
+        return tuple([sum(map(operator.mul, r, x)) for r in self.entries])
 
     def scaled(self, k: int) -> "IntMatrix":
         return IntMatrix([[k * v for v in r] for r in self.entries])

@@ -7,8 +7,6 @@ exact integer arithmetic.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from math import comb
 
 from .errors import CapExceededError, DimensionError
@@ -18,40 +16,6 @@ DEFAULT_CAP = 10**7
 
 #: enumerators are only meant for desk-scale dimensions
 MAX_ENUM_DIM = 6
-
-
-class ShapeKind(enum.Enum):
-    LEE_SPHERE = "lee_sphere"
-    ODD_ANTICODE = "odd_anticode"
-
-
-@dataclass(frozen=True)
-class ShapeId:
-    """Names one of the two reference shapes: the Lee sphere of diameter
-    2*radius, or the odd anticode of diameter 2*radius + 1."""
-
-    kind: ShapeKind
-    n: int
-    radius: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.radius < 0:
-            raise ValueError("need n >= 1 and radius >= 0")
-
-    @property
-    def diameter(self) -> int:
-        extra = 1 if self.kind is ShapeKind.ODD_ANTICODE else 0
-        return 2 * self.radius + extra
-
-    def size(self) -> int:
-        if self.kind is ShapeKind.LEE_SPHERE:
-            return lee_sphere_size(self.n, self.radius)
-        return anticode_size_odd(self.n, self.radius)
-
-    def enumerate(self, cap: int = DEFAULT_CAP) -> set:
-        if self.kind is ShapeKind.LEE_SPHERE:
-            return enumerate_sphere(self.n, self.radius, cap=cap)
-        return enumerate_anticode_odd(self.n, self.radius, cap=cap)
 
 
 def manhattan_dist(x, y) -> int:

@@ -220,18 +220,16 @@ class TransformSpec:
         object.__setattr__(self, "cosets", cosets)
 
     @classmethod
-    def build(cls, d: int, coset_cap: int = analyzer.DEFAULT_COSET_CAP) -> "TransformSpec":
+    def build(cls, d: int) -> "TransformSpec":
         if d < 2 or d & (d - 1):
             raise ValueError("d must be a power of two, at least 2")
-        h = sylvester(2 * d.bit_length() - 2)
-        code = hadamard_kernel_code(h)
-        return cls(h=h, d=d, code=code, table=analyzer.coset_table(code, cap=coset_cap))
+        return cls.from_hadamard(sylvester(2 * d.bit_length() - 2))
 
     @classmethod
-    def from_hadamard(cls, h: HadamardMatrix, coset_cap: int = analyzer.DEFAULT_COSET_CAP):
+    def from_hadamard(cls, h: HadamardMatrix) -> "TransformSpec":
         code = hadamard_kernel_code(h)
         d = math.isqrt(h.order)
-        return cls(h=h, d=d, code=code, table=analyzer.coset_table(code, cap=coset_cap))
+        return cls(h=h, d=d, code=code, table=analyzer.coset_table(code))
 
     @property
     def rho(self) -> int:

@@ -155,7 +155,7 @@ class TestCosetTable:
         lat = constructions.gn(3)
         table = analyzer.coset_table(lat)
         prod = 1
-        for s in table.divisors:
+        for s in intlat.snf(lat.int_matrix):
             prod *= s
         assert prod == lat.volume == table.size
 

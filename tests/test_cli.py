@@ -13,6 +13,78 @@ def run_cli(args, stdin=None, monkeypatch=None):
     return cli.run(args)
 
 
+#: matrix files the family documents below read, by name
+FAMILY_INPUTS = {
+    "gn3": ["gn", "--n", "3"],
+    "n2perfect2": ["n2perfect", "--d", "2"],
+    "minkowski6": ["minkowski3", "--d", "6"],
+}
+
+FAMILY_DOCS = [
+    (["hadamard", "--order", "12"], {
+        "family": "hadamard", "n": 12, "volume": 2985984, "period": [12] * 12, "q": 12,
+        "min_distance_nominal": 12, "density": "12/1925", "density_decimal": "0.006234",
+        "volume_formula": "12^6",
+    }),
+    (["gij", "--i", "3", "--j", "2"], {
+        "family": "gij", "n": 8, "volume": 32, "period": [4] * 8, "q": 4,
+        "min_distance_nominal": 4, "density": "16/315", "density_decimal": "0.050794",
+        "volume_formula": "32",
+    }),
+    (["minkowski3", "--d", "6"], {
+        "family": "minkowski3", "n": 3, "volume": 38, "period": [38, 38, 38], "q": 38,
+        "min_distance_nominal": 6, "density": "18/19", "density_decimal": "0.947368",
+        "volume_formula": "19/108*d^3",
+    }),
+    (["dim4", "--d", "6"], {
+        "family": "dim4", "n": 4, "volume": 74, "period": [74, 74, 74, 74], "q": 74,
+        "reconciliation": {
+            "family": "dim4", "d_parameter": 6, "n": 4,
+            "oracle": {"min_distance": 6, "volume": 74, "q": 74, "density": "27/37",
+                       "density_decimal": "0.729730"},
+            "advertised": {"volume_formula": "13/216*d^4", "volume": "78", "density": "9/13",
+                           "q_formula": "37/3*d", "q": "74"},
+            "discrepancy": {
+                "volume_matches": False, "density_matches": False, "q_matches": True,
+                "note": "the printed generator has |det| = 37/648*d^4, so the advertised "
+                "volume 13/216*d^4 and density 9/13 are not reproducible from it; oracle "
+                "values are reported instead",
+            },
+        },
+    }),
+    (["n2perfect", "--d", "4"], {
+        "family": "n2perfect", "n": 2, "volume": 8, "period": [4, 4], "q": 4,
+        "min_distance_nominal": 4, "density": "1/1", "density_decimal": "1.000000",
+        "volume_formula": "1/2*d^2",
+    }),
+    (["gn", "--n", "6"], {
+        "family": "gn", "n": 6, "volume": 24, "period": [8, 24, 24, 8, 24, 24], "q": 24,
+        "min_distance_nominal": 4, "density": "32/135", "density_decimal": "0.237037",
+        "volume_formula": "24",
+    }),
+    (["double", "--input", "gn3"], {
+        "family": "double", "n": 6, "volume": 24, "period": [4, 12, 12, 4, 12, 12], "q": 12,
+        "min_distance_nominal": 4, "density": "32/135", "density_decimal": "0.237037",
+    }),
+    (["scaled", "--n", "3", "--d", "8"], {
+        "family": "scaled", "n": 3, "volume": 96, "period": [8, 24, 24], "q": 24,
+        "min_distance_nominal": 8, "density": "8/9", "density_decimal": "0.888889",
+        "volume_formula": "12*(d/4)^3",
+    }),
+    (["gw", "--n", "3"], {
+        "family": "gw", "n": 3, "volume": 7, "period": [7, 7, 7], "q": 7,
+        "min_distance_nominal": 3, "density": "9/14", "density_decimal": "0.642857",
+        "volume_formula": "7",
+    }),
+    (["kronecker", "--a", "n2perfect2", "--b", "minkowski6"], {
+        "family": "kronecker", "n": 6, "volume": 11552, "period": [76] * 6, "q": 76,
+    }),
+    (["puncture", "--input", "gn3"], {
+        "family": "puncture", "n": 2, "volume": 12, "period": [12, 12], "q": 12,
+    }),
+]
+
+
 class TestConstruct:
     def test_gn6_writes_example_matrix(self, tmp_path, capsys):
         out = tmp_path / "g6.txt"
@@ -122,6 +194,16 @@ class TestConstruct:
         doc = json.loads(capsys.readouterr().out)
         assert doc["n"] == 2 and doc["volume"] == 12
 
+    @pytest.mark.parametrize("argv,doc", FAMILY_DOCS, ids=[argv[0] for argv, _ in FAMILY_DOCS])
+    def test_parameter_document(self, argv, doc, tmp_path, capsys):
+        # every key of the --out document, in order, for one instance per family
+        for name, spec in FAMILY_INPUTS.items():
+            assert run_cli(["construct", *spec, "--out", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        argv = [str(tmp_path / v) if v in FAMILY_INPUTS else v for v in argv]
+        assert run_cli(["construct", *argv, "--out", str(tmp_path / "out.txt")]) == 0
+        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
 
 class TestAnalyze:
     def test_gn4_certificate(self, tmp_path, capsys):
@@ -180,6 +262,9 @@ class TestAnalyze:
         capsys.readouterr()
         assert run_cli(["analyze", str(f), "--coset-cap", "-1"]) == 2
         assert "--coset-cap" in capsys.readouterr().err
+        assert run_cli(["analyze", str(f), "--coset-cap", "10000001"]) == 2
+        assert "--coset-cap" in capsys.readouterr().err
+        assert run_cli(["analyze", str(f), "--coset-cap", "10000000"]) == 0
 
     def test_fractional_scale_exits_3(self, tmp_path, capsys):
         f = tmp_path / "half.txt"

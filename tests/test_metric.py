@@ -139,20 +139,3 @@ class TestEnumerators:
     def test_point_set_dump(self):
         text = metric.format_point_set({(1, 0), (-1, 0), (0, 1)})
         assert text == "-1 0\n0 1\n1 0\n"
-
-
-class TestShapeId:
-    def test_sphere_shape(self):
-        s = metric.ShapeId(metric.ShapeKind.LEE_SPHERE, 3, 2)
-        assert s.diameter == 4
-        assert s.size() == 25 == len(s.enumerate())
-
-    def test_anticode_shape(self):
-        a = metric.ShapeId(metric.ShapeKind.ODD_ANTICODE, 3, 2)
-        assert a.diameter == 5
-        assert a.size() == 38 == len(a.enumerate())
-        assert metric.diameter(a.enumerate()) == 5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            metric.ShapeId(metric.ShapeKind.LEE_SPHERE, 0, 1)

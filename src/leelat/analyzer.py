@@ -178,6 +178,12 @@ def density_decimal(value: Fraction, places: int = 6) -> str:
     return f"{sign}{whole}.{frac:0{places}d}"
 
 
+def density_fields(value: Fraction) -> dict:
+    """A density as every report prints it: exact "num/den", then six places."""
+    return {"density": f"{value.numerator}/{value.denominator}",
+            "density_decimal": density_decimal(value)}
+
+
 class CertificateKind(enum.Enum):
     PERFECT = "perfect"
     DIAMETER_PERFECT = "diameter_perfect"
@@ -254,8 +260,7 @@ def report(
         "volume": lat.volume,
         "period": list(periods),
         "q": q,
-        "density": f"{params.density.numerator}/{params.density.denominator}",
-        "density_decimal": density_decimal(params.density),
+        **density_fields(params.density),
         "covering_radius": rho,
         "certificate": {
             "kind": cert.kind.value,

@@ -65,15 +65,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a generator matrix from a named family")
+    c.set_defaults(handler=cmd_construct)
     c.add_argument("family", choices=FAMILIES)
-    c.add_argument("--n", type=int, help="code length (gn, scaled, gw)")
-    c.add_argument("--d", type=int, help="minimum-distance parameter")
-    c.add_argument("--i", type=int, help="first index for gij")
-    c.add_argument("--j", type=int, help="second index for gij")
-    c.add_argument("--order", type=int, help="Hadamard order (power of 2, or q+1 for prime q = 3 mod 4)")
-    c.add_argument("--input", help="input matrix file (double, puncture)")
-    c.add_argument("--a", help="left matrix file (kronecker)")
-    c.add_argument("--b", help="right matrix file (kronecker)")
+    for name, (kind, text) in CONSTRUCT_FLAGS.items():
+        readers = ", ".join(fam for fam, (flags, _, _) in FAMILIES.items() if name in flags)
+        c.add_argument(f"--{name}", type=None if kind == "matrix" else int,
+                       help=f"{text} ({readers})")
     c.add_argument(
         "--out",
         help="write the generator here and print the parameter document; "
@@ -81,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     a = sub.add_parser("analyze", help="measure a generator matrix with the oracles")
+    a.set_defaults(handler=cmd_analyze)
     a.add_argument("matrix", help="matrix file in the shared text format, or - for stdin")
     a.add_argument("--min-dist-cap", type=_bounded_int(1), default=None,
                    help="weight cap for the distance search")
@@ -89,9 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"skip the covering radius above this volume (<= {MAX_COSET_CAP})")
 
     t = sub.add_parser("density", help="print the packing-density table as CSV")
+    t.set_defaults(handler=cmd_density)
     t.add_argument("--max-n", type=int, default=10, help="largest length (<= 12)")
 
     x = sub.add_parser("transform", help="apply the sphere-to-box transform to a point stream")
+    x.set_defaults(handler=cmd_transform)
     x.add_argument("--d", type=int, required=True, choices=(2, 4))
     x.add_argument("--mode", choices=("cont", "disc"), required=True)
     x.add_argument("--input", help="point file, one point per line (default stdin)")
@@ -121,16 +121,17 @@ def _load_lattice(path: str) -> intlat.Lattice:
     return lat
 
 
-def _fraction_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def _hadamard(order: int) -> intlat.Lattice:
     """Sylvester for a power of two, Paley on q = order - 1 otherwise."""
     if order >= 1 and order & (order - 1) == 0:
         h = hadamard.sylvester(order.bit_length() - 1)
-    else:
+    elif hadamard.is_paley_prime(order - 1):
         h = hadamard.paley(order - 1)
+    else:
+        accepted = [k for k in range(1, MAX_LENGTH + 1)
+                    if k & (k - 1) == 0 or hadamard.is_paley_prime(k - 1)]
+        raise UsageFault(f"--order {order} is not a Hadamard order: use a power of 2 or q+1 "
+                         f"for a prime q = 3 mod 4, one of {', '.join(map(str, accepted))}")
     return hadamard.hadamard_code(h)
 
 
@@ -167,6 +168,21 @@ FAMILIES = {
 }
 
 
+#: construct flag -> (kind, help).  A "matrix" flag names a matrix file,
+#: loaded before the build; a "length" flag is held to MAX_LENGTH.  Which
+#: family reads which flag is FAMILIES' to say.
+CONSTRUCT_FLAGS = {
+    "n": ("length", "code length"),
+    "d": ("int", "minimum-distance parameter"),
+    "i": ("int", "first index: length 2^i"),
+    "j": ("int", "second index: minimum distance 2^j"),
+    "order": ("length", "Hadamard order: a power of 2, or q+1 for a prime q = 3 mod 4"),
+    "input": ("matrix", "input matrix file"),
+    "a": ("matrix", "left matrix file"),
+    "b": ("matrix", "right matrix file"),
+}
+
+
 def _construct_lattice(args) -> tuple:
     """Build (lattice, nominal parameter document) for the chosen family."""
     fam = args.family
@@ -174,11 +190,12 @@ def _construct_lattice(args) -> tuple:
     values = []
     for name in flags:
         value = getattr(args, name)
+        kind = CONSTRUCT_FLAGS[name][0]
         if value is None:
             raise UsageFault(f"family {fam} requires --{name}")
-        if name in ("n", "order") and value > MAX_LENGTH:
+        if kind == "length" and value > MAX_LENGTH:
             raise UsageFault(f"--{name} {value} is above the length ceiling {MAX_LENGTH}")
-        values.append(_load_lattice(value) if name in ("input", "a", "b") else value)
+        values.append(_load_lattice(value) if kind == "matrix" else value)
     try:
         lat = build(*values)
         d, formula = nominal(*values) if nominal else (None, None)
@@ -186,22 +203,14 @@ def _construct_lattice(args) -> tuple:
         raise UsageFault(f"{fam}: {e}") from e
 
     periods, q = intlat.period(lat)
-    doc = {
-        "family": fam,
-        "n": lat.n,
-        "volume": lat.volume,
-        "period": list(periods),
-        "q": q,
-    }
+    doc = {"family": fam, "n": lat.n, "volume": lat.volume, "period": list(periods), "q": q}
     if d is not None:
-        params = intlat.CodeParams(n=lat.n, d=d, v=lat.volume, q=q)
         doc["min_distance_nominal"] = d
-        doc["density"] = f"{params.density.numerator}/{params.density.denominator}"
-        doc["density_decimal"] = analyzer.density_decimal(params.density)
+        doc.update(analyzer.density_fields(intlat.CodeParams(lat.n, d, lat.volume, q).density))
     if formula:
         doc["volume_formula"] = formula
     if fam == "dim4":
-        doc["reconciliation"] = constructions.dim4_reconciliation(args.d)
+        doc["reconciliation"] = constructions.dim4_reconciliation(*values)
     return lat, doc
 
 
@@ -244,7 +253,8 @@ def _read_points(args, length: int):
         try:
             p = tuple(int(v) for v in line.split())
         except ValueError as e:
-            raise FormatFault(f"line {lineno}: non-integer coordinate") from e
+            fault = intlat.number_fault(line, "coordinate", "non-integer coordinate")
+            raise FormatFault(f"line {lineno}: {fault}") from e
         if len(p) != length:
             raise FormatFault(f"line {lineno}: expected {length} coordinates, got {len(p)}")
         points.append(p)
@@ -258,11 +268,9 @@ def cmd_transform(args) -> int:
     for p in points:
         if args.mode == "disc":
             image = xform.discrete_transform(spec, p)
-            out.append(" ".join(str(v) for v in image))
         else:
-            rv = xform.t_apply(spec.h, p)
-            coords = [Fraction(v, spec.d) for v in rv.nums]
-            out.append(" ".join(_fraction_str(c) for c in coords))
+            image = [Fraction(v, spec.d) for v in xform.t_apply(spec.h, p).nums]
+        out.append(" ".join(map(str, image)))
     sys.stdout.write("\n".join(out) + ("\n" if out else ""))
     return EXIT_OK
 
@@ -273,14 +281,8 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
-    handlers = {
-        "construct": cmd_construct,
-        "analyze": cmd_analyze,
-        "density": cmd_density,
-        "transform": cmd_transform,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except UsageFault as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import analyzer, intlat
 from .errors import InconclusiveError
-from .intlat import CodeParams, IntMatrix, Lattice
+from .intlat import IntMatrix, Lattice
 
 
 #: non-lattice-code lower bounds on cross-polytope packing density, kept
@@ -53,10 +53,7 @@ def dim4_reconciliation(d: int = 6) -> dict:
     """Oracle-measured parameters of ``dim4(d)`` next to its advertised
     ones, with a machine-readable discrepancy note."""
     lat = dim4(d)
-    dist = analyzer.min_distance(lat)
-    volume = lat.volume
-    _, q = intlat.period(lat)
-    density = CodeParams(n=lat.n, d=dist, v=volume, q=q).density
+    oracle = intlat.reduce_mod_period(lat, analyzer.min_distance(lat))
     claimed_volume = Fraction(13, 216) * d**4
     claimed_q = Fraction(37, 3) * d
     claimed_density = Fraction(9, 13)
@@ -65,11 +62,10 @@ def dim4_reconciliation(d: int = 6) -> dict:
         "d_parameter": d,
         "n": 4,
         "oracle": {
-            "min_distance": dist,
-            "volume": volume,
-            "q": q,
-            "density": f"{density.numerator}/{density.denominator}",
-            "density_decimal": analyzer.density_decimal(density),
+            "min_distance": oracle.d,
+            "volume": oracle.v,
+            "q": oracle.q,
+            **analyzer.density_fields(oracle.density),
         },
         "advertised": {
             "volume_formula": "13/216*d^4",
@@ -79,9 +75,9 @@ def dim4_reconciliation(d: int = 6) -> dict:
             "q": str(claimed_q),
         },
         "discrepancy": {
-            "volume_matches": Fraction(volume) == claimed_volume,
-            "density_matches": density == claimed_density,
-            "q_matches": Fraction(q) == claimed_q,
+            "volume_matches": oracle.v == claimed_volume,
+            "density_matches": oracle.density == claimed_density,
+            "q_matches": oracle.q == claimed_q,
             "note": (
                 "the printed generator has |det| = 37/648*d^4, so the "
                 "advertised volume 13/216*d^4 and density 9/13 are not "
@@ -200,14 +196,13 @@ class DensityEntry:
 
 
 def _entry(n: int, label: str, lat: Lattice, d: int, volume_power: int | None = None) -> DensityEntry:
-    _, q = intlat.period(lat)
-    params = CodeParams(n=n, d=d, v=lat.volume, q=q)
+    params = intlat.reduce_mod_period(lat, d)
     return DensityEntry(
         n=n,
         label=label,
         d=d,
-        volume=lat.volume,
-        q=q,
+        volume=params.v,
+        q=params.q,
         density=params.density,
         volume_power=n if volume_power is None else volume_power,
         lattice=lat,
@@ -286,8 +281,7 @@ def density_csv(n_max: int) -> str:
                     str(e.d),
                     _coeff_expr(e.volume_coeff, e.volume_power),
                     _coeff_expr(e.q_coeff, 1),
-                    f"{e.density.numerator}/{e.density.denominator}",
-                    analyzer.density_decimal(e.density),
+                    *analyzer.density_fields(e.density).values(),
                 ]
             )
         )

@@ -74,9 +74,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def is_paley_prime(q: int) -> bool:
+    """Whether ``paley(q)`` applies: q is a prime congruent to 3 mod 4."""
+    return q % 4 == 3 and _is_prime(q)
+
+
 def paley(q: int) -> HadamardMatrix:
     """Quadratic-residue construction of order q+1 for primes q = 3 (mod 4)."""
-    if not _is_prime(q) or q % 4 != 3:
+    if not is_paley_prime(q):
         raise ValueError("q must be a prime congruent to 3 mod 4")
     residues = {(x * x) % q for x in range(1, q)}
     chi = [0] + [1 if x in residues else -1 for x in range(1, q)]

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+import re
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -48,9 +50,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
 
     def column(self, j: int) -> tuple:
         return tuple(r[j] for r in self.entries)
@@ -363,12 +362,10 @@ class CodeParams:
     d: int
     v: int
     q: int
-    density: Fraction = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "density", Fraction(self.d**self.n, math.factorial(self.n) * self.v)
-        )
+    @property
+    def density(self) -> Fraction:
+        return Fraction(self.d**self.n, math.factorial(self.n) * self.v)
 
 
 def reduce_mod_period(lat: Lattice, min_dist: int) -> CodeParams:
@@ -437,15 +434,23 @@ def normalize_first_column(lat: Lattice) -> Lattice:
 #   3 1 -2
 
 
-def format_matrix(m: IntMatrix) -> str:
-    lines = [f"{m.rows} {m.cols}"]
+def format_lattice(lat: Lattice) -> str:
+    m = lat.gen
+    lines = [] if lat.scale == 1 else [f"# scale {lat.scale.numerator}/{lat.scale.denominator}"]
+    lines.append(f"{m.rows} {m.cols}")
     lines += [" ".join(str(v) for v in row) for row in m.entries]
     return "\n".join(lines) + "\n"
 
 
-def format_lattice(lat: Lattice) -> str:
-    head = "" if lat.scale == 1 else f"# scale {lat.scale.numerator}/{lat.scale.denominator}\n"
-    return head + format_matrix(lat.gen)
+def number_fault(text: str, what: str, fault: str) -> str:
+    """The message for ``text`` that failed to parse as numbers: ``fault``,
+    unless a run of digits in it is past the interpreter's int-string
+    limit (``sys.get_int_max_str_digits``), which is then named."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    longest = max(map(len, re.findall(r"\d+", text)), default=0)
+    if limit and longest > limit:
+        return f"{what} too long ({longest} digits; the limit is {limit})"
+    return fault
 
 
 def parse_lattice(text: str) -> Lattice:
@@ -465,12 +470,14 @@ def parse_lattice(text: str) -> Lattice:
                 try:
                     scale_f = Fraction(parts[1])
                 except (ValueError, ZeroDivisionError) as e:
-                    raise ValueError(f"line {lineno}: bad scale value") from e
+                    fault = number_fault(parts[1], "scale value", "bad scale value")
+                    raise ValueError(f"line {lineno}: {fault}") from e
             continue
         try:
             values = [int(v) for v in line.split()]
         except ValueError as e:
-            raise ValueError(f"line {lineno}: non-integer entry") from e
+            fault = number_fault(line, "entry", "non-integer entry")
+            raise ValueError(f"line {lineno}: {fault}") from e
         if dims is None:
             if len(values) != 2:
                 raise ValueError(f"line {lineno}: expected 'rows cols' header")
@@ -482,7 +489,3 @@ def parse_lattice(text: str) -> Lattice:
     if dims is None or len(rows) != dims[0]:
         raise ValueError("matrix body does not match its declared dimensions")
     return Lattice(rows, scale_f)
-
-
-def parse_matrix(text: str) -> IntMatrix:
-    return parse_lattice(text).gen

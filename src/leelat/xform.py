@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import analyzer, intlat, metric
-from .analyzer import CosetTable
 from .errors import BoundViolationError, CapExceededError, DimensionError, IntegralityError
 from .hadamard import HadamardMatrix, sylvester
 from .intlat import IntMatrix, Lattice
@@ -133,26 +132,21 @@ class ContinuousBoxReport:
     witness_attains: bool
 
 
-def continuous_box(h: HadamardMatrix, radius: int, points=None) -> ContinuousBoxReport:
+def continuous_box(h: HadamardMatrix, radius: int) -> ContinuousBoxReport:
     """Check that the transformed Lee sphere of the given radius fits in the
     per-axis bound |(H.x)_j| <= radius (box side 2*radius/sqrt(n)).
 
     The bound itself follows from the entries being +-1 and the triangle
-    inequality; here it is measured on the full sphere (or the supplied
-    sample points) and the extreme point radius*e_1 is confirmed to attain
-    it.  A full sphere of more than ``metric.DEFAULT_CAP`` points raises
-    ``CapExceededError``.
+    inequality; here it is measured on the full sphere and the extreme
+    point radius*e_1 is confirmed to attain it.  A sphere of more than
+    ``metric.DEFAULT_CAP`` points raises ``CapExceededError``.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
     n = h.order
-    if points is None:
-        images = _sphere_images(h.matrix, radius)
-    else:
-        images = map(h.matrix.mat_vec, points)
     max_abs = 0
     count = 0
-    for image in images:
+    for image in _sphere_images(h.matrix, radius):
         top = max(map(abs, image))
         if top > max_abs:
             max_abs = top
@@ -197,27 +191,19 @@ def hadamard_kernel_code(h: HadamardMatrix) -> Lattice:
 @dataclass(frozen=True)
 class TransformSpec:
     """Everything the discrete involution needs: the symmetric Hadamard
-    matrix of order d^2, its kernel code, and the coset-leader table.
+    matrix of order d^2, its kernel code, and the code's coset leaders.
 
-    ``cosets`` re-keys the table by syndrome: the code is the kernel of
-    x -> H.x mod d, so H.p mod d names the coset of p exactly.  It maps
-    each syndrome to the coset's leader s and H.s.
+    The code is the kernel of x -> H.x mod d, so the syndrome H.p mod d
+    names the coset of p exactly.  ``cosets`` maps each syndrome to the
+    coset's minimum-weight leader s and H.s; ``rho``, the largest leader
+    weight, is the code's covering radius.
     """
 
     h: HadamardMatrix
     d: int
     code: Lattice
-    table: CosetTable
-    cosets: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        cosets = {}
-        for s in self.table.leaders.values():
-            hs = self.h.matrix.mat_vec(s)
-            cosets[tuple(v % self.d for v in hs)] = (s, hs)
-        if len(cosets) != self.table.size:
-            raise ArithmeticError("two coset leaders share a syndrome")
-        object.__setattr__(self, "cosets", cosets)
+    rho: int
+    cosets: dict = field(repr=False)
 
     @classmethod
     def build(cls, d: int) -> "TransformSpec":
@@ -229,11 +215,14 @@ class TransformSpec:
     def from_hadamard(cls, h: HadamardMatrix) -> "TransformSpec":
         code = hadamard_kernel_code(h)
         d = math.isqrt(h.order)
-        return cls(h=h, d=d, code=code, table=analyzer.coset_table(code))
-
-    @property
-    def rho(self) -> int:
-        return self.table.rho
+        table = analyzer.coset_table(code)
+        cosets = {}
+        for s in table.leaders.values():
+            hs = h.matrix.mat_vec(s)
+            cosets[tuple(v % d for v in hs)] = (s, hs)
+        if len(cosets) != table.size:
+            raise ArithmeticError("two coset leaders share a syndrome")
+        return cls(h=h, d=d, code=code, rho=table.rho, cosets=cosets)
 
 
 def _discrete_image(spec: TransformSpec, hp) -> tuple:

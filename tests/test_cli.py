@@ -108,8 +108,29 @@ class TestConstruct:
         assert run_cli(["construct", "minkowski3", "--d", "4"]) == 2
         assert "multiple of 6" in capsys.readouterr().err
 
-    def test_missing_param_exits_2(self, capsys):
-        assert run_cli(["construct", "gn"]) == 2
+    @pytest.mark.parametrize(
+        "family,flag",
+        [(fam, flag) for fam, (flags, _, _) in cli.FAMILIES.items() for flag in flags],
+    )
+    def test_missing_param_exits_2(self, family, flag, tmp_path, capsys):
+        matrix = tmp_path / "gn3.txt"
+        matrix.write_text("3 3\n1 0 3\n0 1 5\n0 0 12\n")
+        given = {"order": 4, "i": 3, "j": 2, "d": 8, "n": 3, "input": matrix, "a": matrix, "b": matrix}
+        argv = ["construct", family]
+        for other in cli.FAMILIES[family][0]:
+            if other != flag:
+                argv += [f"--{other}", str(given[other])]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == f"error: family {family} requires --{flag}\n"
+
+    def test_bad_hadamard_order_names_flag(self, capsys):
+        for order in ("6", "0", "-4"):
+            assert run_cli(["construct", "hadamard", "--order", order]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: --order {order} is not a Hadamard order")
+            assert "q must" not in err and err.count("\n") == 1
+            assert "one of 1, 2, 4, 8, 12, 16, 20, 24, 32, 44, 48, " in err
+            assert err.endswith(", 240, 252, 256\n")
 
     def test_matrix_to_stdout_without_out(self, capsys):
         assert run_cli(["construct", "gn", "--n", "3"]) == 0
@@ -237,6 +258,16 @@ class TestAnalyze:
         f = tmp_path / "bad.txt"
         f.write_text("2 2\n1 junk\n0 1\n")
         assert run_cli(["analyze", str(f)]) == 3
+        # past the interpreter's int-string digit limit: named as too long
+        huge = "7" * 5000
+        for text, fault in [
+            (f"2 2\n1 {huge}\n0 1\n", "line 2: entry too long (5000 digits"),
+            (f"# scale 1/{huge}\n2 2\n1 0\n0 1\n", "line 1: scale value too long (5000 digits"),
+        ]:
+            capsys.readouterr()
+            f.write_text(text)
+            assert run_cli(["analyze", str(f)]) == 3
+            assert f"{f}: {fault}" in capsys.readouterr().err
 
     def test_missing_file_exits_3(self):
         assert run_cli(["analyze", "/nonexistent/matrix.txt"]) == 3
@@ -367,6 +398,13 @@ class TestTransform:
             stdin="1 0 0\n",
             monkeypatch=monkeypatch,
         ) == 3
+        capsys.readouterr()
+        assert run_cli(
+            ["transform", "--d", "2", "--mode", "disc"],
+            stdin="1 0 0 " + "9" * 5000 + "\n",
+            monkeypatch=monkeypatch,
+        ) == 3
+        assert capsys.readouterr().err.startswith("error: line 1: coordinate too long (5000 digits")
 
     def test_file_input(self, tmp_path, capsys):
         f = tmp_path / "pts.txt"

@@ -158,7 +158,7 @@ class TestDiscreteTransform:
     def test_leader_decomposition_unique(self):
         spec = TransformSpec.build(2)
         rng = random.Random(52)
-        leaders = list(spec.table.leaders.values())
+        leaders = [s for s, _ in spec.cosets.values()]
         for _ in range(50):
             p = tuple(rng.randint(-30, 30) for _ in range(4))
             fits = [
@@ -241,13 +241,18 @@ class TestDiscreteBox:
 
 
 # Oracles for the streamed sweeps and the syndrome-keyed involution, written
-# from the definitions: the leader comes from canonical_residue and the
-# coset table, the images from a full mat_vec, the sphere from
-# metric.enumerate_sphere.
+# from the definitions: the leader comes from canonical_residue and a coset
+# table of its own (not the spec's syndrome index), the images from a full
+# mat_vec, the sphere from metric.enumerate_sphere.
+
+
+@functools.lru_cache(maxsize=None)
+def residue_leaders(code):
+    return analyzer.coset_table(code).leaders
 
 
 def leader_image(spec, p):
-    s = spec.table.leaders[intlat.canonical_residue(spec.code, p)]
+    s = residue_leaders(spec.code)[intlat.canonical_residue(spec.code, p)]
     hc = spec.h.matrix.mat_vec(tuple(a - b for a, b in zip(p, s)))
     assert all(v % spec.d == 0 for v in hc)
     return tuple(v // spec.d + b for v, b in zip(hc, s))
@@ -306,4 +311,4 @@ class TestTransformSpec:
     def test_leader_table_size_matches_volume(self):
         for d in (2, 4):
             spec = TransformSpec.build(d)
-            assert spec.table.size == spec.code.volume
+            assert len(spec.cosets) == spec.code.volume

@@ -180,6 +180,7 @@ def density_decimal(value: Fraction, places: int = 6) -> str:
 
 def density_fields(value: Fraction) -> dict:
     """A density as every report prints it: exact "num/den", then six places."""
+    intlat.check_digits("density", [value.numerator, value.denominator])
     return {"density": f"{value.numerator}/{value.denominator}",
             "density_decimal": density_decimal(value)}
 
@@ -212,7 +213,6 @@ def certify(lat: Lattice, min_dist: int | None = None) -> Certificate:
     if min_dist is None:
         min_dist = min_distance(lat)
     n = lat.n
-    volume = lat.volume
     if min_dist % 2 == 1:
         radius = (min_dist - 1) // 2
         bound = "lee_sphere"
@@ -223,10 +223,10 @@ def certify(lat: Lattice, min_dist: int | None = None) -> Certificate:
         bound = "odd_anticode(conjectured_max)"
         bound_size = metric.anticode_size_odd(n, radius)
         exact_kind = CertificateKind.DIAMETER_PERFECT
-    slack = volume - bound_size
+    slack = lat.volume - bound_size
     if slack < 0:
         raise BoundViolationError(
-            f"volume {volume} is below the proven bound {bound_size}; "
+            f"volume {lat.volume} is below the proven bound {bound_size}; "
             "this indicates a bug in the construction or the distance search"
         )
     kind = exact_kind if slack == 0 else CertificateKind.NONE
@@ -246,6 +246,7 @@ def report(
     coset_cap: int = DEFAULT_COSET_CAP,
 ) -> dict:
     """Full machine-readable analysis document with a fixed key order."""
+    intlat.check_digits("volume", [lat.volume])  # it bounds every number but the density
     d = min_distance(lat, cap=min_dist_cap)
     periods, q = intlat.period(lat)
     params = CodeParams(n=lat.n, d=d, v=lat.volume, q=q)

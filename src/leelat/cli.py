@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import analyzer, constructions, hadamard, intlat, xform
-from .errors import InconclusiveError, LatticeError
+from .errors import DigitLimitError, InconclusiveError, LatticeError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -114,8 +114,6 @@ def _read_text(path: str) -> str:
 def _load_lattice(path: str) -> intlat.Lattice:
     try:
         lat = intlat.parse_lattice(_read_text(path))
-        # a scale that leaves the generator fractional is a format error
-        lat.int_matrix
     except (ValueError, LatticeError) as e:
         raise FormatFault(f"{path}: {e}") from e
     return lat
@@ -198,6 +196,9 @@ def _construct_lattice(args) -> tuple:
         values.append(_load_lattice(value) if kind == "matrix" else value)
     try:
         lat = build(*values)
+        # the scale's denominator divides every entry; the volume bounds the document
+        numbers = [lat.scale.numerator, lat.volume if args.out else 0]
+        intlat.check_digits("output number", numbers + [v for r in lat.gen.entries for v in r])
         d, formula = nominal(*values) if nominal else (None, None)
     except (ValueError, LatticeError) as e:
         raise UsageFault(f"{fam}: {e}") from e
@@ -270,7 +271,11 @@ def cmd_transform(args) -> int:
             image = xform.discrete_transform(spec, p)
         else:
             image = [Fraction(v, spec.d) for v in xform.t_apply(spec.h, p).nums]
-        out.append(" ".join(map(str, image)))
+        try:
+            out.append(" ".join(map(str, image)))
+        except ValueError:  # str() refuses a number past the int-string limit
+            intlat.check_digits("image coordinate", [v.numerator for v in image])
+            raise
     sys.stdout.write("\n".join(out) + ("\n" if out else ""))
     return EXIT_OK
 
@@ -286,7 +291,7 @@ def run(argv=None) -> int:
     except UsageFault as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except FormatFault as e:
+    except (FormatFault, DigitLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FORMAT
     except InconclusiveError as e:

@@ -25,6 +25,10 @@ class CapExceededError(LatticeError):
     """An enumeration would exceed its configured size cap."""
 
 
+class DigitLimitError(LatticeError):
+    """A number is past the interpreter's int-string limit, so it cannot be printed."""
+
+
 class InconclusiveError(LatticeError):
     """A bounded search ended without an answer; raise the cap to retry."""
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    DigitLimitError,
     DimensionError,
     IntegralityError,
     SingularMatrixError,
@@ -219,9 +220,14 @@ def adjugate(m: IntMatrix) -> IntMatrix:
 
 class Lattice:
     """A full-rank sublattice of Z^n: integer generator rows plus an exact
-    rational scale factor applied to every row."""
+    rational scale factor applied to every row, which must keep them integral.
 
-    __slots__ = ("gen", "scale", "_gen_hnf", "_int_matrix", "_hnf")
+    The rest is settled when the lattice is made: ``int_matrix`` is the
+    scaled generator, ``hnf`` its Hermite normal form and ``volume`` the
+    product of the HNF diagonal, |det|, the index of the lattice in Z^n.
+    """
+
+    __slots__ = ("gen", "scale", "n", "int_matrix", "hnf", "volume")
 
     def __init__(self, gen, scale=1):
         if not isinstance(gen, IntMatrix):
@@ -232,61 +238,26 @@ class Lattice:
         if scale <= 0:
             raise ValueError("scale must be positive")
         try:
-            gen_hnf = hnf(gen)
+            h = hnf(gen)
         except SingularMatrixError:
             raise SingularMatrixError("generator rows are linearly dependent") from None
+        m = gen
+        if scale != 1:
+            num, den = scale.numerator, scale.denominator
+            if any(v % den for r in gen.entries for v in r):
+                raise IntegralityError(f"scale {scale} does not keep the generator integral")
+            m = IntMatrix([[v // den * num for v in r] for r in gen.entries])
+            # c.HNF(G) = HNF(c.G) for c > 0, integral since c.G is
+            h = IntMatrix([[v // den * num for v in r] for r in h.entries])
         object.__setattr__(self, "gen", gen)
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "_gen_hnf", gen_hnf)
-        object.__setattr__(self, "_int_matrix", None)
-        object.__setattr__(self, "_hnf", None)
+        object.__setattr__(self, "n", gen.rows)
+        object.__setattr__(self, "int_matrix", m)
+        object.__setattr__(self, "hnf", h)
+        object.__setattr__(self, "volume", math.prod(h.entries[i][i] for i in range(gen.rows)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Lattice is immutable")
-
-    def _set(self, name, value):
-        object.__setattr__(self, name, value)
-
-    def _scaled(self, m: IntMatrix) -> IntMatrix:
-        """m times the scale; raises if that makes it fractional."""
-        num, den = self.scale.numerator, self.scale.denominator
-        rows = []
-        for r in m.entries:
-            row = []
-            for v in r:
-                t = v * num
-                if t % den:
-                    raise IntegralityError(
-                        f"scale {self.scale} does not keep the generator integral"
-                    )
-                row.append(t // den)
-            rows.append(row)
-        return IntMatrix(rows)
-
-    @property
-    def n(self) -> int:
-        return self.gen.rows
-
-    @property
-    def int_matrix(self) -> IntMatrix:
-        """The scaled generator; raises if the scale makes it fractional."""
-        if self._int_matrix is None:
-            self._set("_int_matrix", self._scaled(self.gen))
-        return self._int_matrix
-
-    @property
-    def volume(self) -> int:
-        """|det| of the scaled generator, the product of the HNF diagonal:
-        the index of the lattice in Z^n."""
-        return math.prod(self.hnf.entries[i][i] for i in range(self.n))
-
-    @property
-    def hnf(self) -> IntMatrix:
-        """HNF of the scaled generator: HNF(c.G) = c.HNF(G) for c > 0, and
-        c.HNF(G) is integral exactly when c.G is."""
-        if self._hnf is None:
-            self._set("_hnf", self._scaled(self._gen_hnf))
-        return self._hnf
 
     def __repr__(self) -> str:
         s = "" if self.scale == 1 else f", scale={self.scale}"
@@ -386,8 +357,8 @@ def kronecker(a: Lattice, b: Lattice) -> Lattice:
 def scale(lat: Lattice, f) -> Lattice:
     """Multiply the lattice by an exact positive rational.
 
-    Volume scales by f^n and every Manhattan distance by f.  Integrality
-    is only demanded (and checked) when the scaled matrix is used.
+    Volume scales by f^n and every Manhattan distance by f.  Raises
+    IntegralityError when the scaled generator is not integral.
     """
     f = Fraction(f)
     if f <= 0:
@@ -442,15 +413,32 @@ def format_lattice(lat: Lattice) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _too_long(what: str, digits: int) -> str | None:
+    """The message for a ``what`` of ``digits`` digits past the interpreter's
+    int-string limit (``sys.get_int_max_str_digits``), None within it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit:
+        return f"{what} too long ({digits} digits; the limit is {limit})"
+    return None
+
+
 def number_fault(text: str, what: str, fault: str) -> str:
     """The message for ``text`` that failed to parse as numbers: ``fault``,
-    unless a run of digits in it is past the interpreter's int-string
-    limit (``sys.get_int_max_str_digits``), which is then named."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    unless a run of digits in it is past the int-string limit."""
     longest = max(map(len, re.findall(r"\d+", text)), default=0)
-    if limit and longest > limit:
-        return f"{what} too long ({longest} digits; the limit is {limit})"
-    return fault
+    return _too_long(what, longest) or fault
+
+
+def check_digits(what: str, values) -> None:
+    """Raise DigitLimitError when one of the ints ``values`` is past the
+    int-string limit, so that ``str`` would refuse it."""
+    big = max(map(abs, values), default=0)
+    digits = big.bit_length() * 1233 >> 12  # 1233/4096 < log10(2): a lower bound
+    while big >= 10**digits:
+        digits += 1
+    fault = _too_long(what, digits)
+    if fault:
+        raise DigitLimitError(fault)
 
 
 def parse_lattice(text: str) -> Lattice:

@@ -1,7 +1,13 @@
+import contextlib
 import io
 import json
+import os
+import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leelat import cli
 
@@ -436,3 +442,93 @@ class TestParser:
 
     def test_unknown_command_exits_2(self):
         assert run_cli(["frobnicate"]) == 2
+
+
+BIG = 10**2500
+
+#: (argv, input files by name, stdin, expected exit, what is too long, its digits)
+OUTPUT_LIMIT_CASES = {
+    "construct": (["construct", "scaled", "--n", "64", "--d", "4" + "0" * 80, "--out", "{out}"],
+                  {}, None, 2, "scaled: output number", 5123),
+    "analyze": (["analyze", "{m}"], {"m": f"3 3\n1 0 0\n0 {BIG} 0\n0 0 {BIG}\n"},
+                None, 3, "volume", 5001),
+    "analyze-density": (["analyze", "{m}"], {"m": f"3 3\n1 0 0\n0 1 0\n0 0 9{'0' * 4299}\n"},
+                        None, 3, "density", 4301),
+    "transform-disc": (["transform", "--d", "4", "--mode", "disc"], {}, " ".join(["9" * 4300] * 16),
+                       3, "image coordinate", 4301),
+    "transform-cont": (["transform", "--d", "4", "--mode", "cont"], {}, " ".join(["9" * 4300] * 16),
+                       3, "image coordinate", 4301),
+}
+
+
+@pytest.mark.parametrize("case", OUTPUT_LIMIT_CASES)
+def test_output_past_int_string_limit_exits_with_one_line(case, tmp_path, capsys, monkeypatch):
+    """A number the run would print past the interpreter's int-string limit
+    is reported in one line naming its length, not a traceback."""
+    argv, files, stdin, code, what, digits = OUTPUT_LIMIT_CASES[case]
+    paths = {"out": str(tmp_path / "out.txt")}
+    for name, text in files.items():
+        paths[name] = str(tmp_path / f"{name}.txt")
+        (tmp_path / f"{name}.txt").write_text(text)
+    argv = [a.format(**paths) for a in argv]
+    assert run_cli(argv, stdin=stdin, monkeypatch=monkeypatch) == code
+    out, err = capsys.readouterr()
+    limit = sys.get_int_max_str_digits()
+    assert err.endswith(f"{what} too long ({digits} digits; the limit is {limit})\n")
+    assert err.startswith("error: ") and err.count("\n") == 1 and out == ""
+    assert not os.path.exists(paths["out"])
+
+
+def _matrix_text(header, rows, dims):
+    lines = [] if header is None else [header]
+    if dims is not None:
+        lines.append(" ".join(map(str, dims)))
+    lines += [" ".join(map(str, r)) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+_rows = st.lists(st.lists(st.integers(-4, 4), max_size=4), max_size=4)
+_matrix = st.builds(
+    _matrix_text,
+    st.sampled_from([None, "# scale 1", "# scale 2", "# scale 1/2", "# scale 2/3", "# scale 0",
+                     "# scale -1", "# scale x", "# scale 1/0", "# scale", "# scale 1 2"]),
+    _rows,
+    st.one_of(st.none(), st.tuples(st.integers(0, 4), st.integers(0, 4))),
+)
+# square bodies with a matching header, so that most inputs get past the parser
+_square = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)
+)
+_square_matrix = st.builds(
+    lambda header, rows: _matrix_text(header, rows, (len(rows), len(rows))),
+    st.sampled_from([None, None, None, "# scale 3", "# scale 1/2", "# scale 0", "# scale -2/3"]),
+    _square,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["analyze", "double", "puncture", "kronecker"]),
+    st.one_of(_matrix, _square_matrix, _square_matrix),
+    _square_matrix,
+)
+def test_exit_code_contract_fuzz(command, text, other):
+    """Every run on random matrix text exits 0, 2, 3 or 4, raises nothing,
+    and a nonzero exit prints exactly one stderr line."""
+    with tempfile.TemporaryDirectory() as work:
+        a, b = os.path.join(work, "a.txt"), os.path.join(work, "b.txt")
+        for path, body in ((a, text), (b, other)):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(body)
+        argv = {
+            "analyze": ["analyze", a, "--min-dist-cap", "3", "--coset-cap", "50"],
+            "double": ["construct", "double", "--input", a],
+            "puncture": ["construct", "puncture", "--input", a],
+            "kronecker": ["construct", "kronecker", "--a", a, "--b", b],
+        }[command]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

@@ -174,10 +174,23 @@ class TestLattice:
         lat = Lattice([[2, 0], [0, 4]], Fraction(1, 2))
         assert lat.volume == 2  # |det| * scale^n = 8/4
 
-    def test_integrality_lazy(self):
-        lat = Lattice([[1, 0], [0, 1]], Fraction(1, 3))
-        with pytest.raises(IntegralityError):
-            _ = lat.int_matrix
+    def test_settled_when_made(self):
+        assert Lattice.__slots__ == ("gen", "scale", "n", "int_matrix", "hnf", "volume")
+        assert not [k for k, v in vars(Lattice).items() if isinstance(v, property)]
+        gen = IntMatrix(MINKOWSKI)
+        lat = Lattice(gen)
+        assert lat.int_matrix is gen and lat.hnf == intlat.hnf(gen)
+        half = Lattice([[2 * v for v in r] for r in MINKOWSKI], Fraction(1, 2))
+        assert half.int_matrix == gen and half.hnf == lat.hnf and half.volume == lat.volume == 38
+
+    def test_integrality_checked_when_made(self):
+        message = "scale 1/3 does not keep the generator integral"
+        with pytest.raises(IntegralityError, match=message):
+            Lattice([[1, 0], [0, 1]], Fraction(1, 3))
+        with pytest.raises(IntegralityError, match=message):
+            intlat.parse_lattice("# scale 1/3\n2 2\n1 0\n0 1\n")
+        with pytest.raises(IntegralityError, match=message):
+            intlat.scale(Lattice([[1, 0], [0, 1]]), Fraction(1, 3))
 
     def test_residue_count_matches_volume(self):
         from itertools import product as iproduct
@@ -391,9 +404,8 @@ def test_snf_rejects_singular(rows):
 def test_scaled_hnf_and_volume(rows, k, s):
     rows = [[k * v for v in r] for r in rows]
     if any((v * s).denominator != 1 for r in rows for v in r):
-        for attr in ("int_matrix", "hnf", "volume"):
-            with pytest.raises(IntegralityError):
-                getattr(Lattice(rows, s), attr)
+        with pytest.raises(IntegralityError):
+            Lattice(rows, s)
         return
     lat = Lattice(rows, s)
     assert lat.hnf == intlat.hnf(lat.int_matrix)
@@ -483,7 +495,7 @@ class TestScale:
 
 class TestTextFormat:
     def test_round_trip(self):
-        lat = Lattice(MINKOWSKI, Fraction(7, 6))
+        lat = Lattice([[6 * v for v in r] for r in MINKOWSKI], Fraction(7, 6))
         text = intlat.format_lattice(lat)
         back = intlat.parse_lattice(text)
         assert back.gen == lat.gen and back.scale == lat.scale

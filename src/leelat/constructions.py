@@ -53,7 +53,9 @@ def dim4_reconciliation(d: int = 6) -> dict:
     """Oracle-measured parameters of ``dim4(d)`` next to its advertised
     ones, with a machine-readable discrepancy note."""
     lat = dim4(d)
-    oracle = intlat.reduce_mod_period(lat, analyzer.min_distance(lat))
+    # dim4(d) is dim4(6) scaled by d/6, so its distance is too; measuring at
+    # d = 6 keeps the search inside the default weight cap for every d
+    oracle = intlat.reduce_mod_period(lat, analyzer.min_distance(dim4(6)) * d // 6)
     claimed_volume = Fraction(13, 216) * d**4
     claimed_q = Fraction(37, 3) * d
     claimed_density = Fraction(9, 13)
@@ -195,38 +197,40 @@ class DensityEntry:
         return Fraction(self.q, self.d)
 
 
-def _entry(n: int, label: str, lat: Lattice, d: int, volume_power: int | None = None) -> DensityEntry:
+def _entry(label: str, lat: Lattice, d: int, volume_power: int | None = None) -> DensityEntry:
     params = intlat.reduce_mod_period(lat, d)
     return DensityEntry(
-        n=n,
+        n=lat.n,
         label=label,
         d=d,
         volume=params.v,
         q=params.q,
         density=params.density,
-        volume_power=n if volume_power is None else volume_power,
+        volume_power=lat.n if volume_power is None else volume_power,
         lattice=lat,
     )
 
 
-def _candidates(n: int, best) -> list:
+def _candidates(n: int, best: dict) -> list:
+    """Every construction of length n; products read only rows ``best[m]``
+    with m < n and m <= 6, which ``density_table`` has already filled."""
     out = []
     if n == 2:
-        out.append(_entry(2, "n2perfect", n2_perfect(2), 2))
+        out.append(_entry("n2perfect", n2_perfect(2), 2))
     if n == 3:
-        out.append(_entry(3, "minkowski3", minkowski3(6), 6))
+        out.append(_entry("minkowski3", minkowski3(6), 6))
     if n == 4:
-        out.append(_entry(4, "dim4", dim4(6), 6))
-    out.append(_entry(n, f"gn_scaled({n})", scaled_diameter_code(n, 4), 4))
+        out.append(_entry("dim4", dim4(6), 6))
+    out.append(_entry(f"gn_scaled({n})", scaled_diameter_code(n, 4), 4))
     for a in range(2, n):
         if a * a > n:
             break
         if n % a == 0:
-            ea, eb = best(a), best(n // a)
+            ea, eb = best[a], best[n // a]
             lat = intlat.kronecker(ea.lattice, eb.lattice)
             # label stays comma-free so the CSV needs no quoting
             out.append(
-                _entry(n, f"kron({ea.label} x {eb.label})", lat, ea.d * eb.d)
+                _entry(f"kron({ea.label} x {eb.label})", lat, ea.d * eb.d)
             )
     if n == 11:
         for parent in _candidates(12, best):
@@ -236,7 +240,6 @@ def _candidates(n: int, best) -> list:
             punctured = intlat.puncture(norm)
             out.append(
                 _entry(
-                    11,
                     f"puncture({parent.label})",
                     punctured,
                     parent.d,
@@ -250,18 +253,11 @@ def density_table(n_max: int) -> list:
     """Best-known entry for each length 2..n_max (n_max <= 12)."""
     if not 2 <= n_max <= 12:
         raise ValueError("n_max must be between 2 and 12")
-    memo: dict = {}
-
-    def best(n: int) -> DensityEntry:
-        if n not in memo:
-            chosen = None
-            for cand in _candidates(n, best):
-                if chosen is None or cand.density > chosen.density:
-                    chosen = cand
-            memo[n] = chosen
-        return memo[n]
-
-    return [best(n) for n in range(2, n_max + 1)]
+    best: dict = {}
+    for n in range(2, n_max + 1):
+        # max keeps the first of equally dense candidates
+        best[n] = max(_candidates(n, best), key=lambda e: e.density)
+    return list(best.values())
 
 
 def _coeff_expr(coeff: Fraction, power: int) -> str:

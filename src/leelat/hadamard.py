@@ -80,21 +80,17 @@ def is_paley_prime(q: int) -> bool:
 
 
 def paley(q: int) -> HadamardMatrix:
-    """Quadratic-residue construction of order q+1 for primes q = 3 (mod 4)."""
+    """Quadratic-residue construction of order q+1 for primes q = 3 (mod 4),
+    in normalized form: I + S with S = [[0, 1], [-1, Q]], Q_ij = chi(i - j),
+    and rows 1..q negated."""
     if not is_paley_prime(q):
         raise ValueError("q must be a prime congruent to 3 mod 4")
     residues = {(x * x) % q for x in range(1, q)}
     chi = [0] + [1 if x in residues else -1 for x in range(1, q)]
-    n = q + 1
-    rows = [[0] * n for _ in range(n)]
-    rows[0][0] = 1
-    for j in range(1, n):
-        rows[0][j] = 1
-        rows[j][0] = -1
-    for i in range(1, n):
-        for j in range(1, n):
-            rows[i][j] = 1 if i == j else chi[(i - j) % q]
-    return normalize(HadamardMatrix(IntMatrix(rows)))
+    rows = [[1] * (q + 1)]
+    for i in range(1, q + 1):
+        rows.append([1] + [-1 if i == j else -chi[(i - j) % q] for j in range(1, q + 1)])
+    return HadamardMatrix(IntMatrix(rows))
 
 
 def normalize(h: HadamardMatrix) -> HadamardMatrix:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leelat import cli
+from leelat import analyzer, cli, constructions
 
 
 def run_cli(args, stdin=None, monkeypatch=None):
@@ -152,6 +152,16 @@ class TestConstruct:
         assert rec["advertised"]["volume"] == "78"
         assert rec["discrepancy"]["volume_matches"] is False
         assert rec["discrepancy"]["note"]
+
+    def test_dim4_above_default_weight_cap(self, tmp_path, capsys):
+        out = tmp_path / "d4.txt"
+        assert run_cli(["construct", "dim4", "--d", "66", "--out", str(out)]) == 0
+        rec = json.loads(capsys.readouterr().out)["reconciliation"]
+        assert rec["oracle"]["min_distance"] == 66
+        assert analyzer.min_distance(constructions.dim4(66), cap=66) == 66
+        assert out.read_text().startswith("# scale 11/1\n4 4\n")
+        assert run_cli(["construct", "dim4", "--d", "66"]) == 0
+        assert capsys.readouterr().out == out.read_text()
 
     @pytest.mark.parametrize(
         "argv",

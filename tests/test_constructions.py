@@ -16,6 +16,22 @@ EXAMPLE_G6 = (
     (0, 0, 0, 0, 0, 24),
 )
 
+#: ``density_csv(12)``, byte for byte
+DENSITY_CSV_12 = """\
+n,construction,d,volume,q,density,density_decimal
+2,n2perfect,2,1/2*d^2,d,1/1,1.000000
+3,minkowski3,6,19/108*d^3,19/3*d,18/19,0.947368
+4,dim4,6,37/648*d^4,37/3*d,27/37,0.729730
+5,gn_scaled(5),4,5/256*d^5,5*d,32/75,0.426667
+6,kron(n2perfect x minkowski3),12,361/93312*d^6,19/3*d,648/1805,0.359003
+7,gn_scaled(7),4,7/4096*d^7,7*d,256/2205,0.116100
+8,kron(n2perfect x dim4),12,1369/6718464*d^8,37/3*d,5832/47915,0.121716
+9,kron(minkowski3 x minkowski3),36,47045881/1586874322944*d^9,361/9*d,153055008/1646605835,0.092952
+10,kron(n2perfect x gn_scaled(5)),8,25/2097152*d^10,5*d,8192/354375,0.023117
+11,puncture(kron(n2perfect x kron(n2perfect x minkowski3))),24,130321/557256278016*d^12,19/3*d,1119744/250867925,0.004463
+12,kron(minkowski3 x dim4),36,6601149613/37018604205637632*d^12,703/9*d,148769467776/12707213005025,0.011707
+"""
+
 
 class TestMinkowski3:
     def test_d6(self):
@@ -247,6 +263,12 @@ class TestDensityTable:
         assert lines[0] == "n,construction,d,volume,q,density,density_decimal"
         assert len(lines) == 10  # header + rows for n = 2..10
         assert lines[5].startswith("6,") and lines[5].endswith("0.359003")
+
+    def test_csv_pinned(self):
+        for k in range(2, 13):
+            assert constructions.density_csv(k) == "".join(
+                DENSITY_CSV_12.splitlines(keepends=True)[:k]
+            )
 
     def test_bounds(self):
         with pytest.raises(ValueError):

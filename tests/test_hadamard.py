@@ -61,6 +61,21 @@ class TestPaley:
     def test_order_12_not_symmetric(self):
         assert not hadamard.paley(11).is_symmetric
 
+    def test_textbook_matrix_normalized(self):
+        # I + S with S = [[0, 1^T], [-1, Q]], Q_ij = chi(i - j), then columns
+        # and rows negated until the first row and column are +1
+        for q in filter(hadamard.is_paley_prime, range(256)):
+            chi = [0] + [1 if pow(x, (q - 1) // 2, q) == 1 else -1 for x in range(1, q)]
+            m = [[1] * (q + 1)] + [
+                [-1] + [1 if i == j else chi[(i - j) % q] for j in range(q)] for i in range(q)
+            ]
+            for j in range(q + 1):
+                if m[0][j] == -1:
+                    for row in m:
+                        row[j] = -row[j]
+            m = [row if row[0] == 1 else [-v for v in row] for row in m]
+            assert hadamard.paley(q).matrix.entries == tuple(map(tuple, m)), q
+
 
 class TestNormalize:
     def test_identity_on_normal_form(self):

@@ -23,15 +23,16 @@ class HadamardMatrix:
         if matrix.rows != matrix.cols:
             raise DimensionError("Hadamard matrix must be square")
         n = matrix.rows
+        # Row i as a mask with bit k set where entry k is -1: two +-1 rows
+        # have dot product n - 2 * popcount(a ^ b), and a row with itself n.
+        masks = []
         for row in matrix.entries:
-            for v in row:
-                if v not in (1, -1):
-                    raise ValueError("entries must be +1 or -1")
-        for i in range(n):
-            ri = matrix.entries[i]
-            for j in range(i, n):
-                dot = sum(a * b for a, b in zip(ri, matrix.entries[j]))
-                if dot != (n if i == j else 0):
+            if not set(row) <= {1, -1}:
+                raise ValueError("entries must be +1 or -1")
+            masks.append(sum(1 << k for k, v in enumerate(row) if v == -1))
+        for i, a in enumerate(masks):
+            for j in range(i + 1, n):
+                if 2 * (a ^ masks[j]).bit_count() != n:
                     raise ValueError(f"rows {i} and {j} are not orthogonal")
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "matrix", matrix)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import analyzer, intlat, metric
 from .errors import BoundViolationError, CapExceededError, DimensionError, IntegralityError
@@ -40,49 +39,12 @@ class RadicalVector:
             raise IntegralityError("components are not divisible by the root")
         return tuple(v // root for v in self.nums)
 
-    def max_abs_le(self, bound) -> bool:
-        """Exact test max_j |nums_j| / sqrt(radicand) <= bound."""
-        b = Fraction(bound)
-        if b < 0:
-            return all(v == 0 for v in self.nums) and b == 0
-        lhs = max(v * v for v in self.nums)
-        return lhs * b.denominator**2 <= b.numerator**2 * self.radicand
-
 
 def t_apply(h: HadamardMatrix, x) -> RadicalVector:
     """The continuous transform H.x / sqrt(order), exactly."""
     if len(x) != h.order:
         raise DimensionError("point length disagrees with the matrix order")
     return RadicalVector(h.matrix.mat_vec(x), h.order)
-
-
-def check_involution_continuous(h: HadamardMatrix, samples) -> int:
-    """Verify H.(H.x) == n*x on every sample; returns the sample count.
-
-    Only symmetric matrices qualify: without H == H^T the double
-    application is H^2/n, not the identity.
-    """
-    _require_symmetric(h)
-    n = h.order
-    count = 0
-    for x in samples:
-        once = h.matrix.mat_vec(x)
-        twice = h.matrix.mat_vec(once)
-        if any(t != n * v for t, v in zip(twice, x)):
-            raise BoundViolationError(f"H^2 != n*I witnessed at sample {x}")
-        count += 1
-    return count
-
-
-def _require_symmetric(h: HadamardMatrix):
-    m = h.matrix.entries
-    for i in range(h.order):
-        for j in range(i):
-            if m[i][j] != m[j][i]:
-                raise ValueError(
-                    f"matrix is not symmetric: entry ({i},{j}) = {m[i][j]} "
-                    f"but ({j},{i}) = {m[j][i]}"
-                )
 
 
 def _sphere_images(m: IntMatrix, radius: int, center=None):
@@ -171,8 +133,15 @@ def hadamard_kernel_code(h: HadamardMatrix) -> Lattice:
     n = d^2; its minimum distance is d and the continuous transform maps
     it onto itself.
     """
-    _require_symmetric(h)
+    m = h.matrix.entries
     n = h.order
+    for i in range(n):
+        for j in range(i):
+            if m[i][j] != m[j][i]:
+                raise ValueError(
+                    f"matrix is not symmetric: entry ({i},{j}) = {m[i][j]} "
+                    f"but ({j},{i}) = {m[j][i]}"
+                )
     d = math.isqrt(n)
     if d * d != n:
         raise DimensionError("matrix order must be a perfect square")

@@ -2,8 +2,11 @@ from collections import Counter
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leelat import analyzer, hadamard, intlat
+from leelat.errors import DimensionError
 from leelat.intlat import IntMatrix, Lattice
 
 from helpers import lee_code_min_distance
@@ -75,6 +78,80 @@ class TestPaley:
                         row[j] = -row[j]
             m = [row if row[0] == 1 else [-v for v in row] for row in m]
             assert hadamard.paley(q).matrix.entries == tuple(map(tuple, m)), q
+
+
+class TestHadamardMatrix:
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionError):
+            hadamard.HadamardMatrix(IntMatrix([[1, 1, 1, 1], [1, -1, 1, -1]]))
+
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_entry_not_plus_minus_one(self, bad):
+        rows = [list(r) for r in PRINTED_ORDER_4]
+        rows[3][2] = bad
+        with pytest.raises(ValueError, match=r"^entries must be \+1 or -1$"):
+            hadamard.HadamardMatrix(IntMatrix(rows))
+
+    @pytest.mark.parametrize(
+        "h", [hadamard.sylvester(3), hadamard.paley(11)], ids=["sylvester3", "paley11"]
+    )
+    def test_every_single_flip_names_first_pair(self, h):
+        # a flip in row r breaks its pair with row 0 first (row 1 when r = 0)
+        for r in range(h.order):
+            for c in range(h.order):
+                rows = [list(row) for row in h.matrix.entries]
+                rows[r][c] = -rows[r][c]
+                with pytest.raises(ValueError, match=rf"^rows 0 and {r or 1} are not orthogonal$"):
+                    hadamard.HadamardMatrix(IntMatrix(rows))
+
+
+def gram_is_scalar(rows):
+    n = len(rows)
+    return all(
+        sum(a * b for a, b in zip(rows[i], rows[j])) == (n if i == j else 0)
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+HADAMARD_SEEDS = [hadamard.sylvester(k) for k in range(5)] + [
+    hadamard.paley(q) for q in (3, 7, 11, 19)
+]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_equivalent_matrices_accepted(data):
+    # negating and permuting rows and columns keeps H H^T = nI
+    h = data.draw(st.sampled_from(HADAMARD_SEEDS))
+    n = h.order
+    row_order = data.draw(st.permutations(range(n)))
+    col_order = data.draw(st.permutations(range(n)))
+    row_signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    col_signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    m = h.matrix.entries
+    rows = [
+        [row_signs[i] * col_signs[j] * m[row_order[i]][col_order[j]] for j in range(n)]
+        for i in range(n)
+    ]
+    assert hadamard.HadamardMatrix(IntMatrix(rows)).matrix.entries == tuple(map(tuple, rows))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+def test_random_sign_matrix_verdict_matches_gram(rows):
+    try:
+        hadamard.HadamardMatrix(IntMatrix(rows))
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == gram_is_scalar(rows)
 
 
 class TestNormalize:

@@ -433,9 +433,11 @@ def check_digits(what: str, values) -> None:
     """Raise DigitLimitError when one of the ints ``values`` is past the
     int-string limit, so that ``str`` would refuse it."""
     big = max(map(abs, values), default=0)
-    digits = big.bit_length() * 1233 >> 12  # 1233/4096 < log10(2): a lower bound
-    while big >= 10**digits:
+    digits = max(big.bit_length() - 1, 0) * 30102999566 // 10**11  # 0.30102999566 < log10(2)
+    power = 10**digits
+    while big >= power:
         digits += 1
+        power *= 10
     fault = _too_long(what, digits)
     if fault:
         raise DigitLimitError(fault)
@@ -455,8 +457,11 @@ def parse_lattice(text: str) -> Lattice:
             if parts and parts[0] == "scale":
                 if len(parts) != 2:
                     raise ValueError(f"line {lineno}: malformed scale header")
-                try:
-                    scale_f = Fraction(parts[1])
+                num, slash, den = parts[1].partition("/")
+                try:  # integer p/q or p, read by int as entries are; q takes no sign
+                    if den[:1] in ("+", "-"):
+                        raise ValueError(den)
+                    scale_f = Fraction(int(num), int(den) if slash else 1)
                 except (ValueError, ZeroDivisionError) as e:
                     fault = number_fault(parts[1], "scale value", "bad scale value")
                     raise ValueError(f"line {lineno}: {fault}") from e

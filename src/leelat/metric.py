@@ -11,11 +11,8 @@ from math import comb
 
 from .errors import CapExceededError, DimensionError
 
-#: default ceiling on enumerated point-set sizes
+#: ceiling on a walk's point count; in any dimension it bounds memory and time
 DEFAULT_CAP = 10**7
-
-#: enumerators are only meant for desk-scale dimensions
-MAX_ENUM_DIM = 6
 
 
 def manhattan_dist(x, y) -> int:
@@ -105,17 +102,25 @@ def weight_shell(n: int, w: int):
     yield from rec(0, w)
 
 
+def _check_cap(shape: str, size: int, cap: int) -> None:
+    if size > cap:
+        raise CapExceededError(f"{shape} has {size} points, cap is {cap}")
+
+
+def sphere_center(n: int, radius: int, center=None, cap: int = DEFAULT_CAP) -> tuple:
+    """``center`` (default the origin) of a walk over the Lee sphere of the
+    given radius in Z^n, checked to be in Z^n and to hold at most ``cap`` points."""
+    _check_cap("sphere", lee_sphere_size(n, radius), cap)
+    if center is None:
+        return (0,) * n
+    if len(center) != n:
+        raise DimensionError("center has the wrong length")
+    return center
+
+
 def enumerate_sphere(n: int, radius: int, center=None, cap: int = DEFAULT_CAP) -> set:
     """The exact point set of the Lee sphere of the given radius."""
-    if n > MAX_ENUM_DIM:
-        raise CapExceededError(f"sphere enumeration is limited to n <= {MAX_ENUM_DIM}")
-    size = lee_sphere_size(n, radius)
-    if size > cap:
-        raise CapExceededError(f"sphere has {size} points, cap is {cap}")
-    if center is None:
-        center = (0,) * n
-    elif len(center) != n:
-        raise DimensionError("center has the wrong length")
+    center = sphere_center(n, radius, center, cap)
     points = set()
     for w in range(radius + 1):
         for p in weight_shell(n, w):
@@ -129,11 +134,7 @@ def enumerate_anticode_odd(n: int, radius: int, cap: int = DEFAULT_CAP) -> set:
     The seed is fixed for determinism; translation moves the shape but not
     its size or diameter.
     """
-    if n > MAX_ENUM_DIM:
-        raise CapExceededError(f"anticode enumeration is limited to n <= {MAX_ENUM_DIM}")
-    size = anticode_size_odd(n, radius)
-    if size > cap:
-        raise CapExceededError(f"anticode has {size} points, cap is {cap}")
+    _check_cap("anticode", anticode_size_odd(n, radius), cap)
     e1 = tuple(1 if i == 0 else 0 for i in range(n))
     points = {(0,) * n, e1}
     for _ in range(radius):

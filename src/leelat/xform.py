@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import analyzer, intlat, metric
-from .errors import BoundViolationError, CapExceededError, DimensionError, IntegralityError
+from .errors import BoundViolationError, DimensionError, IntegralityError
 from .hadamard import HadamardMatrix, sylvester
 from .intlat import IntMatrix, Lattice
 
@@ -57,13 +57,7 @@ def _sphere_images(m: IntMatrix, radius: int, center=None):
     vector addition instead of a matrix-vector product.
     """
     n = m.cols
-    size = metric.lee_sphere_size(n, radius)
-    if size > metric.DEFAULT_CAP:
-        raise CapExceededError(f"sphere has {size} points, cap is {metric.DEFAULT_CAP}")
-    if center is None:
-        center = (0,) * n
-    elif len(center) != n:
-        raise DimensionError("center has the wrong length")
+    center = metric.sphere_center(n, radius, center)
     cols = [m.column(j) for j in range(n)]
 
     def walk(start, rem, image):

@@ -32,6 +32,12 @@ FAMILY_DOCS = [
         "min_distance_nominal": 12, "density": "12/1925", "density_decimal": "0.006234",
         "volume_formula": "12^6",
     }),
+    # a power of two takes the Sylvester branch; 12 takes Paley's
+    (["hadamard", "--order", "16"], {
+        "family": "hadamard", "n": 16, "volume": 4294967296, "period": [16] * 16, "q": 16,
+        "min_distance_nominal": 16, "density": "131072/638512875", "density_decimal": "0.000205",
+        "volume_formula": "16^8",
+    }),
     (["gij", "--i", "3", "--j", "2"], {
         "family": "gij", "n": 8, "volume": 32, "period": [4] * 8, "q": 4,
         "min_distance_nominal": 4, "density": "16/315", "density_decimal": "0.050794",
@@ -89,6 +95,11 @@ FAMILY_DOCS = [
         "family": "puncture", "n": 2, "volume": 12, "period": [12, 12], "q": 12,
     }),
 ]
+
+#: one id per family; a repeated family adds its parameter values
+FAMILY_IDS = []
+for argv, _ in FAMILY_DOCS:
+    FAMILY_IDS.append("-".join(argv[::2]) if argv[0] in FAMILY_IDS else argv[0])
 
 
 class TestConstruct:
@@ -231,7 +242,7 @@ class TestConstruct:
         doc = json.loads(capsys.readouterr().out)
         assert doc["n"] == 2 and doc["volume"] == 12
 
-    @pytest.mark.parametrize("argv,doc", FAMILY_DOCS, ids=[argv[0] for argv, _ in FAMILY_DOCS])
+    @pytest.mark.parametrize("argv,doc", FAMILY_DOCS, ids=FAMILY_IDS)
     def test_parameter_document(self, argv, doc, tmp_path, capsys):
         # every key of the --out document, in order, for one instance per family
         for name, spec in FAMILY_INPUTS.items():
@@ -279,6 +290,9 @@ class TestAnalyze:
         for text, fault in [
             (f"2 2\n1 {huge}\n0 1\n", "line 2: entry too long (5000 digits"),
             (f"# scale 1/{huge}\n2 2\n1 0\n0 1\n", "line 1: scale value too long (5000 digits"),
+            # the scale is integer p/q or p: no exponent, so no huge power of ten to build
+            ("# scale 1e20000000\n2 2\n1 0\n0 1\n", "line 1: bad scale value\n"),
+            ("# scale 1e1000000\n2 2\n1 0\n0 1\n", "line 1: bad scale value\n"),
         ]:
             capsys.readouterr()
             f.write_text(text)
@@ -501,7 +515,8 @@ _rows = st.lists(st.lists(st.integers(-4, 4), max_size=4), max_size=4)
 _matrix = st.builds(
     _matrix_text,
     st.sampled_from([None, "# scale 1", "# scale 2", "# scale 1/2", "# scale 2/3", "# scale 0",
-                     "# scale -1", "# scale x", "# scale 1/0", "# scale", "# scale 1 2"]),
+                     "# scale -1", "# scale x", "# scale 1/0", "# scale", "# scale 1 2", "# scale 1e9",
+                     "# scale 0.5"]),
     _rows,
     st.one_of(st.none(), st.tuples(st.integers(0, 4), st.integers(0, 4))),
 )

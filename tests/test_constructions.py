@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from leelat import analyzer, constructions, intlat, metric
+from leelat import analyzer, constructions, hadamard, intlat, metric, xform
 from leelat.analyzer import CertificateKind
+from leelat.errors import DimensionError
 
 from helpers import lee_code_min_distance
 
@@ -279,3 +280,27 @@ class TestDensityTable:
         table = {e.n: e for e in constructions.density_table(6)}
         # the survey bounds come from non-lattice packings; rows never use them
         assert table[5].density != constructions.SURVEY_LOWER_BOUNDS[5]
+
+
+REJECTIONS = {
+    "discrete_transform": (lambda: xform.discrete_transform(xform.TransformSpec.build(2), (0, 0, 0)),
+                           DimensionError, "point length disagrees with the transform order"),
+    "discrete_box": (lambda: xform.discrete_box(xform.TransformSpec.build(2), -1),
+                     ValueError, "radius must be non-negative"),
+    "continuous_box": (lambda: xform.continuous_box(hadamard.sylvester(2), -1),
+                       ValueError, "radius must be non-negative"),
+    "sylvester": (lambda: hadamard.sylvester(-1), ValueError, "k must be non-negative"),
+    "g_matrix": (lambda: hadamard.g_matrix(1, 2), ValueError, "i and j must be at least 2"),
+    "gn": (lambda: constructions.gn(1), ValueError, "n must be at least 2"),
+    "gw_perfect": (lambda: constructions.gw_perfect(0), ValueError, "n must be at least 1"),
+    "scaled_diameter_code": (lambda: constructions.scaled_diameter_code(1, 4),
+                             ValueError, "n must be at least 2"),
+    "dim4": (lambda: constructions.dim4(5), ValueError, "d must be a positive multiple of 6"),
+}
+
+
+@pytest.mark.parametrize("name", REJECTIONS)
+def test_public_rejections(name):
+    call, error, message = REJECTIONS[name]
+    with pytest.raises(error, match=f"^{message}$"):
+        call()

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from leelat import intlat
 from leelat.errors import (
+    DigitLimitError,
     DimensionError,
     IntegralityError,
     SingularMatrixError,
@@ -493,6 +495,34 @@ class TestScale:
             intlat.scale(Lattice(MINKOWSKI), 0)
 
 
+class TestCheckDigits:
+    LIMIT = 4300
+
+    @staticmethod
+    def values():
+        # near the int-string limit, and at about 10^5 digits
+        for k in (4299, 4300, 4301, 100_000):
+            yield from (10**k - 1, 10**k, -(10**k), 7 * 10**k + 3)
+        for bits in (14_284, 14_287, 332_193):
+            yield from (2**bits - 1, 2**bits)
+
+    def test_counts_match_str(self):
+        old = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)  # lifted, so that str gives the true count
+            cases = [(v, len(str(abs(v)))) for v in self.values()]
+            sys.set_int_max_str_digits(self.LIMIT)
+            for v, digits in cases:
+                if digits <= self.LIMIT:
+                    intlat.check_digits("value", [v, 0])
+                    continue
+                message = f"^value too long \\({digits} digits; the limit is {self.LIMIT}\\)$"
+                with pytest.raises(DigitLimitError, match=message):
+                    intlat.check_digits("value", [0, v])
+        finally:
+            sys.set_int_max_str_digits(old)
+
+
 class TestTextFormat:
     def test_round_trip(self):
         lat = Lattice([[6 * v for v in r] for r in MINKOWSKI], Fraction(7, 6))
@@ -504,6 +534,14 @@ class TestTextFormat:
         text = intlat.format_lattice(Lattice(G3))
         assert not text.startswith("#")
         assert intlat.parse_lattice(text).gen.entries == tuple(map(tuple, G3))
+
+    def test_scale_header_is_integer_ratio(self):
+        body = "2 2\n4 0\n0 4\n"
+        for header, scale in [("3", 3), ("+1/2", Fraction(1, 2)), ("1_0/4", Fraction(5, 2))]:
+            assert intlat.parse_lattice(f"# scale {header}\n{body}").scale == scale
+        for header in ("0.5", "1e9", "1/-2", "1/+2", "1/", "/2", "1/2/3", "1/0"):
+            with pytest.raises(ValueError, match="^line 1: bad scale value$"):
+                intlat.parse_lattice(f"# scale {header}\n{body}")
 
     def test_parse_rejects_bad_body(self):
         with pytest.raises(ValueError):

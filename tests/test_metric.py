@@ -121,14 +121,19 @@ class TestEnumerators:
     def test_centered(self):
         pts = metric.enumerate_sphere(2, 1, center=(5, -3))
         assert pts == {(5, -3), (4, -3), (6, -3), (5, -2), (5, -4)}
+        with pytest.raises(DimensionError, match="^center has the wrong length$"):
+            metric.enumerate_sphere(2, 1, center=(5, -3, 0))
 
     def test_cap_enforced(self):
-        with pytest.raises(CapExceededError):
+        with pytest.raises(CapExceededError, match="^sphere has 8361 points, cap is 10$"):
             metric.enumerate_sphere(4, 10, cap=10)
+        with pytest.raises(CapExceededError, match="^anticode has 16 points, cap is 10$"):
+            metric.enumerate_anticode_odd(4, 1, cap=10)
 
     def test_dimension_cap(self):
-        with pytest.raises(CapExceededError):
-            metric.enumerate_sphere(7, 1)
+        # no dimension ceiling: the point cap alone bounds the walk
+        assert len(metric.enumerate_sphere(16, 3)) == 6017 == metric.lee_sphere_size(16, 3)
+        assert len(metric.enumerate_anticode_odd(8, 2)) == metric.anticode_size_odd(8, 2)
 
     def test_weight_shell_lex_order_and_count(self):
         shell = list(metric.weight_shell(3, 3))

@@ -202,7 +202,6 @@ class TestDiscreteBox:
 
     @pytest.mark.parametrize("center", [None, (3, -1, 0, 7, -5, 2, 0, 0, 1, -9, 4, 0, 0, -2, 6, 1)])
     def test_d4_spheres(self, center):
-        # beyond the dimension limit of metric.enumerate_sphere
         spec = built_spec(4)
         for radius in range(4):
             rep = xform.discrete_box(spec, radius, center=center)
@@ -210,7 +209,7 @@ class TestDiscreteBox:
             assert all(e <= rep.bound for e in rep.extents)
 
     def test_center_length_checked(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="^center has the wrong length$"):
             xform.discrete_box(built_spec(2), 1, center=(0, 0, 0))
 
     def test_sphere_size_cap(self):
@@ -259,26 +258,29 @@ def test_involution_d4_random(p):
 
 
 @HYPOTHESIS
-@given(st.integers(0, 6), points(4, 40))
-def test_streamed_sweeps_match_brute_sphere(radius, center):
-    spec = built_spec(2)
-    h = spec.h
-    sphere = metric.enumerate_sphere(4, radius, center=center)
-    walked = Counter(xform._sphere_images(h.matrix, radius, center))
-    assert walked == Counter(h.matrix.mat_vec(p) for p in sphere)
+@given(st.data())
+def test_streamed_sweeps_match_brute_sphere(data):
+    for d, max_radius in ((2, 6), (4, 3)):
+        spec = built_spec(d)
+        h, n = spec.h, d * d
+        radius = data.draw(st.integers(0, max_radius))
+        center = data.draw(points(n, 40))
+        sphere = metric.enumerate_sphere(n, radius, center=center)
+        walked = Counter(xform._sphere_images(h.matrix, radius, center))
+        assert walked == Counter(h.matrix.mat_vec(p) for p in sphere)
 
-    images = [leader_image(spec, p) for p in sphere]
-    extents = tuple(max(col) - min(col) + 1 for col in zip(*images))
-    bound = 2 * math.ceil((radius + spec.rho) / 2) + 2 * spec.rho + 1
-    assert xform.discrete_box(spec, radius, center=center) == DiscreteBoxReport(
-        radius=radius, rho=spec.rho, bound=bound, extents=extents, points_checked=len(sphere)
-    )
+        images = [leader_image(spec, p) for p in sphere]
+        extents = tuple(max(col) - min(col) + 1 for col in zip(*images))
+        bound = 2 * math.ceil((radius + spec.rho) / d) + 2 * spec.rho + 1
+        assert xform.discrete_box(spec, radius, center=center) == DiscreteBoxReport(
+            radius=radius, rho=spec.rho, bound=bound, extents=extents, points_checked=len(sphere)
+        )
 
-    origin = metric.enumerate_sphere(4, radius)
-    max_abs = max(abs(v) for p in origin for v in h.matrix.mat_vec(p))
-    assert xform.continuous_box(h, radius) == ContinuousBoxReport(
-        order=4, radius=radius, max_abs=max_abs, points_checked=len(origin), witness_attains=True
-    )
+        origin = metric.enumerate_sphere(n, radius)
+        max_abs = max(abs(v) for p in origin for v in h.matrix.mat_vec(p))
+        assert xform.continuous_box(h, radius) == ContinuousBoxReport(
+            order=n, radius=radius, max_abs=max_abs, points_checked=len(origin), witness_attains=True
+        )
 
 
 class TestTransformSpec:

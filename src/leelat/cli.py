@@ -25,8 +25,8 @@ EXIT_INCONCLUSIVE = 4
 #: entries, so an unchecked size flag could exhaust memory
 MAX_LENGTH = 256
 
-#: largest ``analyze --coset-cap``; a coset table costs about 180 B a coset,
-#: so this bounds it near 1.8 GB
+#: largest ``analyze --coset-cap``; a coset table costs about 96 B a coset
+#: at n = 4, so this bounds it near 1 GB
 MAX_COSET_CAP = 10**7
 
 
@@ -111,9 +111,9 @@ def _read_text(path: str) -> str:
         raise FormatFault(f"cannot read {path}: {e}") from e
 
 
-def _load_lattice(path: str) -> intlat.Lattice:
+def _load_lattice(path: str, max_n: int | None = None) -> intlat.Lattice:
     try:
-        lat = intlat.parse_lattice(_read_text(path))
+        lat = intlat.parse_lattice(_read_text(path), max_n)
     except (ValueError, LatticeError) as e:
         raise FormatFault(f"{path}: {e}") from e
     return lat
@@ -231,7 +231,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    lat = _load_lattice(args.matrix)
+    # the distance search and the coset walk recurse once per coordinate
+    lat = _load_lattice(args.matrix, max_n=MAX_LENGTH)
     doc = analyzer.report(lat, min_dist_cap=args.min_dist_cap, coset_cap=args.coset_cap)
     print(json.dumps(doc, indent=2))
     return EXIT_OK

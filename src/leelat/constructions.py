@@ -212,8 +212,9 @@ def _entry(label: str, lat: Lattice, d: int, volume_power: int | None = None) ->
 
 
 def _candidates(n: int, best: dict) -> list:
-    """Every construction of length n; products read only rows ``best[m]``
-    with m < n and m <= 6, which ``density_table`` has already filled."""
+    """Every construction of length n but the punctured ones; products read
+    only rows ``best[m]`` with m < n and m <= 6, which ``density_table`` has
+    already filled."""
     out = []
     if n == 2:
         out.append(_entry("n2perfect", n2_perfect(2), 2))
@@ -232,20 +233,25 @@ def _candidates(n: int, best: dict) -> list:
             out.append(
                 _entry(f"kron({ea.label} x {eb.label})", lat, ea.d * eb.d)
             )
-    if n == 11:
-        for parent in _candidates(12, best):
-            norm = intlat.normalize_first_column(parent.lattice)
-            if norm.int_matrix.entries[0][0] != 1:
-                continue
-            punctured = intlat.puncture(norm)
-            out.append(
-                _entry(
-                    f"puncture({parent.label})",
-                    punctured,
-                    parent.d,
-                    volume_power=12,
-                )
+    return out
+
+
+def _punctured(parents: list) -> list:
+    """The punctured codes of the ``parents`` whose first column normalizes
+    to (1, 0, ..., 0), each with its parent's d and volume power."""
+    out = []
+    for parent in parents:
+        norm = intlat.normalize_first_column(parent.lattice)
+        if norm.int_matrix.entries[0][0] != 1:
+            continue
+        out.append(
+            _entry(
+                f"puncture({parent.label})",
+                intlat.puncture(norm),
+                parent.d,
+                volume_power=parent.n,
             )
+        )
     return out
 
 
@@ -254,9 +260,16 @@ def density_table(n_max: int) -> list:
     if not 2 <= n_max <= 12:
         raise ValueError("n_max must be between 2 and 12")
     best: dict = {}
+    twelve = None
     for n in range(2, n_max + 1):
+        candidates = twelve if n == 12 else _candidates(n, best)
+        if n == 11:
+            # row 11 also takes the punctured length-12 codes; row 12
+            # reuses the candidates built for them
+            twelve = _candidates(12, best)
+            candidates += _punctured(twelve)
         # max keeps the first of equally dense candidates
-        best[n] = max(_candidates(n, best), key=lambda e: e.density)
+        best[n] = max(candidates, key=lambda e: e.density)
     return list(best.values())
 
 

@@ -443,8 +443,9 @@ def check_digits(what: str, values) -> None:
         raise DigitLimitError(fault)
 
 
-def parse_lattice(text: str) -> Lattice:
-    """Parse the shared matrix text format into a Lattice."""
+def parse_lattice(text: str, max_n: int | None = None) -> Lattice:
+    """Parse the shared matrix text format into a Lattice; with ``max_n``,
+    a header declaring more rows or columns is refused before the body is read."""
     scale_f = Fraction(1)
     rows = []
     dims = None
@@ -475,6 +476,9 @@ def parse_lattice(text: str) -> Lattice:
             if len(values) != 2:
                 raise ValueError(f"line {lineno}: expected 'rows cols' header")
             dims = (values[0], values[1])
+            if max_n is not None and max(dims) > max_n:
+                raise ValueError(f"line {lineno}: a {dims[0]}x{dims[1]} matrix is above "
+                                 f"the dimension ceiling {max_n}")
         else:
             if len(values) != dims[1]:
                 raise ValueError(f"line {lineno}: expected {dims[1]} entries")

@@ -180,7 +180,7 @@ class TransformSpec:
         d = math.isqrt(h.order)
         table = analyzer.coset_table(code)
         cosets = {}
-        for s in table.leaders.values():
+        for s in table.leaders:
             hs = h.matrix.mat_vec(s)
             cosets[tuple(v % d for v in hs)] = (s, hs)
         if len(cosets) != table.size:

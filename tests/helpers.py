@@ -3,12 +3,15 @@
 These deliberately avoid the library's own algorithms: determinants by
 cofactor expansion, Smith divisors from gcds of minors, membership by
 rational Gaussian elimination, and minimum weights by exhaustive search
-over small coordinate boxes.
+over small coordinate boxes.  The coset-leader oracle is the plain shell
+scan: every point keyed by its canonical residue.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+
+from leelat import intlat, metric
 
 
 def cofactor_det(rows):
@@ -111,3 +114,17 @@ def lee_code_min_distance(rows, m):
         if w < best:
             best = w
     return best
+
+
+def brute_coset_leaders(lat):
+    """(leaders, rho): scan the shells of Z^n in increasing weight and
+    lexicographic order, key each point by its canonical residue and keep
+    the first point of each coset, until every coset has one."""
+    leaders = {}
+    w = 0
+    while True:
+        for x in metric.weight_shell(lat.n, w):
+            leaders.setdefault(intlat.canonical_residue(lat, x), x)
+            if len(leaders) == lat.volume:
+                return tuple(leaders.values()), w
+        w += 1

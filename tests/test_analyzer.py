@@ -2,15 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from leelat import analyzer, constructions, hadamard, intlat, metric
+from leelat import analyzer, cli, constructions, hadamard, intlat, metric
 from leelat.analyzer import CertificateKind
 from leelat.errors import CapExceededError, InconclusiveError
 from leelat.intlat import IntMatrix, Lattice
 
-from helpers import brute_min_weight, lee_code_min_distance
+from helpers import brute_coset_leaders, brute_min_weight, lee_code_min_distance
 
 EVEN_SUM_Z4 = Lattice(
     [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 0, 2]]
@@ -108,12 +108,12 @@ class TestCosetTable:
         table = analyzer.coset_table(Lattice(IntMatrix.identity(3)))
         assert table.size == 1
         assert table.rho == 0
-        assert set(table.leaders.values()) == {(0, 0, 0)}
+        assert set(table.leaders) == {(0, 0, 0)}
 
     def test_even_sum_z4(self):
         table = analyzer.coset_table(EVEN_SUM_Z4)
         assert table.size == 2
-        assert sorted(table.leaders.values()) == [(-1, 0, 0, 0), (0, 0, 0, 0)]
+        assert sorted(table.leaders) == [(-1, 0, 0, 0), (0, 0, 0, 0)]
         assert table.rho == 1
 
     def test_leader_weights_are_coset_minimal(self):
@@ -126,8 +126,10 @@ class TestCosetTable:
                     key = intlat.canonical_residue(lat, x)
                     if key not in best:
                         best[key] = w
-            for key, leader in table.leaders.items():
-                assert metric.manhattan_weight(leader) == best[key]
+            residues = {intlat.canonical_residue(lat, leader) for leader in table.leaders}
+            assert len(residues) == len(table.leaders) == lat.volume
+            for leader in table.leaders:
+                assert metric.manhattan_weight(leader) == best[intlat.canonical_residue(lat, leader)]
 
     def test_leader_minimality_random_lattices(self):
         rng = random.Random(33)
@@ -148,8 +150,10 @@ class TestCosetTable:
                 for x in metric.weight_shell(2, w):
                     key = intlat.canonical_residue(lat, x)
                     best.setdefault(key, w)
-            for key, leader in table.leaders.items():
-                assert metric.manhattan_weight(leader) == best[key]
+            residues = {intlat.canonical_residue(lat, leader) for leader in table.leaders}
+            assert len(residues) == len(table.leaders) == lat.volume
+            for leader in table.leaders:
+                assert metric.manhattan_weight(leader) == best[intlat.canonical_residue(lat, leader)]
 
     def test_divisor_count_matches_volume(self):
         lat = constructions.gn(3)
@@ -162,6 +166,64 @@ class TestCosetTable:
     def test_volume_cap(self):
         with pytest.raises(CapExceededError):
             analyzer.coset_table(constructions.gn(6), cap=10)
+
+
+@st.composite
+def coset_lattices(draw):
+    """(generator rows, scale) in n <= 4 with volume <= 300, so the shell
+    scan of the oracle stays small.  The scale's denominator divides every
+    entry, and the diagonal shrinks towards 1."""
+    n = draw(st.integers(1, 4))
+    bound = {1: 150, 2: 8, 3: 3, 4: 2}[n]
+    rows = [
+        [draw(st.integers(1, bound) if i == j else st.integers(-bound, bound)) for j in range(n)]
+        for i in range(n)
+    ]
+    dens = [k for k in (1, 2, 3) if all(v % k == 0 for r in rows for v in r)]
+    scale = Fraction(draw(st.integers(1, 2)), draw(st.sampled_from(dens)))
+    assume(0 < abs(intlat.det(IntMatrix(rows))) * scale**n <= 300)
+    return rows, scale
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(coset_lattices())
+@example(([[7]], 1))
+@example(([[2, 0, 0], [0, 3, 0], [0, 0, 5]], 1))
+@example(([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 1))
+@example(([[2, 4], [-6, 2]], Fraction(3, 2)))
+def test_coset_table_matches_shell_scan(case):
+    # same leaders in the same order, and the same covering radius
+    lat = Lattice(*case)
+    table = analyzer.coset_table(lat)
+    assert (table.leaders, table.rho) == brute_coset_leaders(lat)
+
+
+# the codes of the analyze benchmark pool, at its parameters
+POOL_CODES = (
+    [("hadamard", (8,)), ("gij", (3, 3)), ("gij", (4, 2))]
+    + [("gn", (n,)) for n in (10, 13, 16)]
+    + [("gw", (n,)) for n in (21, 41)]
+    + [("minkowski3", (d,)) for d in (24, 30, 36)]
+    + [("dim4", (d,)) for d in (12, 18)]
+    + [("scaled", (n, 8)) for n in (5, 6)]
+)
+
+
+def test_coset_table_matches_shell_scan_on_pool_codes():
+    rng = random.Random(12)
+    for family, values in POOL_CODES:
+        lat = cli.FAMILIES[family][1](*values)
+        # the same lattice in a seeded unimodular basis
+        rows = [list(r) for r in lat.gen.entries]
+        for _ in range(3 * lat.n):
+            i, j = rng.sample(range(lat.n), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        rng.shuffle(rows)
+        rebased = Lattice(rows, lat.scale)
+        assert intlat.same_lattice(rebased, lat)
+        table = analyzer.coset_table(rebased)
+        assert (table.leaders, table.rho) == brute_coset_leaders(rebased), (family, values)
 
 
 class TestCoveringRadius:

@@ -335,6 +335,23 @@ class TestAnalyze:
         assert err.startswith("error: ") and "integral" in err
         assert len(err.splitlines()) == 1
 
+    def test_dimension_ceiling_exits_3(self, tmp_path, capsys):
+        # the searches recurse once per coordinate; the ceiling is construct's
+        f = tmp_path / "wide.txt"
+
+        def diagonal(n):
+            f.write_text(f"{n} {n}\n" + "".join(
+                " ".join("1" if i == j else "0" for j in range(n)) + "\n" for i in range(n)))
+
+        diagonal(1200)
+        assert run_cli(["analyze", str(f)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {f}: line 1: a 1200x1200 matrix is above the dimension ceiling 256\n")
+        diagonal(cli.MAX_LENGTH)
+        assert run_cli(["analyze", str(f)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["n"], doc["min_distance"], doc["covering_radius"]) == (256, 1, 0)
+
     def test_hadamard_order_12(self, tmp_path, capsys):
         f = tmp_path / "h12.txt"
         run_cli(["construct", "hadamard", "--order", "12", "--out", str(f)])

@@ -231,7 +231,7 @@ class TestDiscreteBox:
 
 @functools.lru_cache(maxsize=None)
 def residue_leaders(code):
-    return analyzer.coset_table(code).leaders
+    return {intlat.canonical_residue(code, s): s for s in analyzer.coset_table(code).leaders}
 
 
 def leader_image(spec, p):

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import intlat, metric
-from .errors import BoundViolationError, CapExceededError, InconclusiveError
-from .intlat import CodeParams, Lattice
+from .errors import BoundViolationError, BudgetExhaustedError, CapExceededError, InconclusiveError
+from .intlat import CodeParams, IntMatrix, Lattice
 
 #: weight ceiling for the automatic minimum-distance search
 DEFAULT_HARD_CAP = 64
@@ -37,7 +37,9 @@ def min_distance(
     w = 1, 2, ... up to ``cap`` (``DEFAULT_HARD_CAP`` without one), and
     each pass looks for a vector of weight exactly w.  ``point_budget``
     caps the search nodes over all passes.  An exhausted cap or budget
-    raises InconclusiveError, never a wrong answer.
+    raises InconclusiveError, never a wrong answer.  An exhausted budget
+    raises its subclass BudgetExhaustedError: unlike an exhausted cap, it
+    leaves some weight up to the cap unsearched.
     """
     h = lat.hnf.entries
     n = lat.n
@@ -51,7 +53,7 @@ def min_distance(
     w = 0
 
     def exhausted():
-        return InconclusiveError(
+        return BudgetExhaustedError(
             f"search budget exhausted: {nodes} nodes visited, budget "
             f"{point_budget}, weights <= {w - 1} fully searched"
         )
@@ -154,7 +156,7 @@ def coset_table(lat: Lattice, cap: int = DEFAULT_COSET_CAP) -> CosetTable:
     if volume > cap:
         raise CapExceededError(f"volume {volume} exceeds the coset cap {cap}")
     n = lat.n
-    rev = intlat._hnf_rows([r[::-1] for r in lat.int_matrix.entries], n)
+    rev = intlat.hnf(IntMatrix([r[::-1] for r in lat.int_matrix.entries])).entries
     u = [r[::-1] for r in reversed(rev)]
     diag = [u[j][j] for j in range(n)]
     # nonzero entries of row j after the diagonal; each is reduced below a

@@ -141,6 +141,12 @@ def _gij(i: int, j: int) -> intlat.Lattice:
     return hadamard.g_matrix(i, j)
 
 
+def _double(lat: intlat.Lattice) -> intlat.Lattice:
+    if 2 * lat.n > MAX_LENGTH:  # refused before the distance search
+        raise UsageFault(f"double length {2 * lat.n} is above the ceiling {MAX_LENGTH}")
+    return constructions.double(lat)
+
+
 def _kronecker(a: intlat.Lattice, b: intlat.Lattice) -> intlat.Lattice:
     if a.n * b.n > MAX_LENGTH:
         raise UsageFault(f"kronecker length {a.n * b.n} is above the ceiling {MAX_LENGTH}")
@@ -158,7 +164,7 @@ FAMILIES = {
     "dim4": (("d",), constructions.dim4, None),
     "n2perfect": (("d",), constructions.n2_perfect, lambda d: (d, "1/2*d^2")),
     "gn": (("n",), constructions.gn, lambda n: (4, f"{4 * n}")),
-    "double": (("input",), constructions.double, lambda lat: (4, None)),
+    "double": (("input",), _double, lambda lat: (4, None)),
     "scaled": (("n", "d"), constructions.scaled_diameter_code, lambda n, d: (d, f"{4 * n}*(d/4)^{n}")),
     "gw": (("n",), constructions.gw_perfect, lambda n: (3, f"{2 * n + 1}")),
     "kronecker": (("a", "b"), _kronecker, None),
@@ -167,8 +173,9 @@ FAMILIES = {
 
 
 #: construct flag -> (kind, help).  A "matrix" flag names a matrix file,
-#: loaded before the build; a "length" flag is held to MAX_LENGTH.  Which
-#: family reads which flag is FAMILIES' to say.
+#: loaded before the build and held to MAX_LENGTH + 1 rows and columns, so
+#: that ``puncture`` can reach MAX_LENGTH; a "length" flag is held to
+#: MAX_LENGTH.  Which family reads which flag is FAMILIES' to say.
 CONSTRUCT_FLAGS = {
     "n": ("length", "code length"),
     "d": ("int", "minimum-distance parameter"),
@@ -193,13 +200,15 @@ def _construct_lattice(args) -> tuple:
             raise UsageFault(f"family {fam} requires --{name}")
         if kind == "length" and value > MAX_LENGTH:
             raise UsageFault(f"--{name} {value} is above the length ceiling {MAX_LENGTH}")
-        values.append(_load_lattice(value) if kind == "matrix" else value)
+        values.append(_load_lattice(value, MAX_LENGTH + 1) if kind == "matrix" else value)
     try:
         lat = build(*values)
         # the scale's denominator divides every entry; the volume bounds the document
         numbers = [lat.scale.numerator, lat.volume if args.out else 0]
         intlat.check_digits("output number", numbers + [v for r in lat.gen.entries for v in r])
         d, formula = nominal(*values) if nominal else (None, None)
+    except InconclusiveError:
+        raise
     except (ValueError, LatticeError) as e:
         raise UsageFault(f"{fam}: {e}") from e
 

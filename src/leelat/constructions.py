@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import analyzer, intlat
-from .errors import InconclusiveError
+from .errors import BudgetExhaustedError, InconclusiveError
 from .intlat import IntMatrix, Lattice
 
 
@@ -127,7 +127,9 @@ def double(lat: Lattice) -> Lattice:
     """
     try:
         d = analyzer.min_distance(lat, cap=4)
-    except InconclusiveError:
+    except BudgetExhaustedError:
+        raise
+    except InconclusiveError:  # every weight <= 4 searched, none found
         raise ValueError("doubling needs minimum distance 4, input exceeds it") from None
     if d != 4:
         raise ValueError(f"doubling needs minimum distance 4, got {d}")

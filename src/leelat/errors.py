@@ -33,5 +33,10 @@ class InconclusiveError(LatticeError):
     """A bounded search ended without an answer; raise the cap to retry."""
 
 
+class BudgetExhaustedError(InconclusiveError):
+    """A search ran out of its node budget before it settled every weight
+    up to its cap."""
+
+
 class BoundViolationError(LatticeError):
     """A proven bound failed, which can only mean an internal bug."""

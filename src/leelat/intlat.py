@@ -93,11 +93,11 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.entries]})"
 
 
-def _pivot_column(m: list, j: int, p: int, rows) -> int:
-    """Euclid on column j over the row indices ``rows`` (which include p).
+def _pivot_column(m: list, j: int, rows) -> int:
+    """Euclid on column j over the row indices ``rows`` (which include j).
 
-    Repeatedly moves the smallest nonzero entry to row p and floor-reduces
-    the other rows by it, until row p holds the positive gcd and the other
+    Repeatedly moves the smallest nonzero entry to row j and floor-reduces
+    the other rows by it, until row j holds the positive gcd and the other
     rows are zero in column j.  Row operations only, in place.  Returns
     the determinant (+1 or -1) of those row operations.
     """
@@ -110,61 +110,57 @@ def _pivot_column(m: list, j: int, p: int, rows) -> int:
                 best = i
         if best < 0:
             raise SingularMatrixError(f"no nonzero pivot in column {j}")
-        if best != p:
-            m[best], m[p] = m[p], m[best]
+        if best != j:
+            m[best], m[j] = m[j], m[best]
             sign = -sign
-        pivot = m[p][j]
+        pivot = m[j][j]
         clean = True
         for i in rows:
-            if i != p and m[i][j] != 0:
+            if i != j and m[i][j] != 0:
                 q = m[i][j] // pivot
                 if q:
-                    m[i] = [a - q * b for a, b in zip(m[i], m[p])]
+                    m[i] = [a - q * b for a, b in zip(m[i], m[j])]
                 if m[i][j] != 0:
                     clean = False
         if clean:
             break
-    if m[p][j] < 0:
-        m[p] = [-v for v in m[p]]
+    if m[j][j] < 0:
+        m[j] = [-v for v in m[j]]
         sign = -sign
     return sign
 
 
-def det(m: IntMatrix) -> int:
-    """Exact determinant: the signed diagonal product of the triangular
-    form that the HNF column steps leave."""
-    if m.rows != m.cols:
-        raise DimensionError("determinant needs a square matrix")
-    a = [list(r) for r in m.entries]
-    d = 1
-    for j in range(m.rows - 1, -1, -1):
-        try:
-            d *= _pivot_column(a, j, j, range(j + 1)) * a[j][j]
-        except SingularMatrixError:
-            return 0
-    return d
+def _hnf_rows(rows) -> tuple:
+    """Lower-triangular row HNF of a square stack of rows, and the
+    determinant (+1 or -1) of the row operations that reach it.
 
-
-def _hnf_rows(rows: list, cols: int) -> list:
-    """Lower-triangular row HNF of a full-column-rank stack of rows.
-
-    Returns the ``cols`` nonzero rows: positive diagonal, entries below
-    each diagonal reduced into ``[0, diag)``.  Row operations only, so the
-    generated lattice is unchanged.
+    The HNF has a positive diagonal and entries below each diagonal
+    reduced into ``[0, diag)``.  Row operations only, so the generated
+    lattice is unchanged.  Raises SingularMatrixError on a singular stack.
     """
     m = [list(r) for r in rows]
-    nrows = len(m)
-    if nrows < cols:
-        raise SingularMatrixError("fewer rows than columns")
-    for j in range(cols - 1, -1, -1):
-        p = nrows - cols + j
-        _pivot_column(m, j, p, range(p + 1))
-        pivot = m[p][j]
-        for i in range(p + 1, nrows):
+    n = len(m)
+    sign = 1
+    for j in range(n - 1, -1, -1):
+        sign *= _pivot_column(m, j, range(j + 1))
+        pivot = m[j][j]
+        for i in range(j + 1, n):
             q = m[i][j] // pivot
             if q:
-                m[i] = [a - q * b for a, b in zip(m[i], m[p])]
-    return m[nrows - cols :]
+                m[i] = [a - q * b for a, b in zip(m[i], m[j])]
+    return m, sign
+
+
+def det(m: IntMatrix) -> int:
+    """Exact determinant: the sign of the HNF's row operations times its
+    diagonal product."""
+    if m.rows != m.cols:
+        raise DimensionError("determinant needs a square matrix")
+    try:
+        h, sign = _hnf_rows(m.entries)
+    except SingularMatrixError:
+        return 0
+    return sign * math.prod(h[i][i] for i in range(m.rows))
 
 
 def hnf(m: IntMatrix) -> IntMatrix:
@@ -174,7 +170,7 @@ def hnf(m: IntMatrix) -> IntMatrix:
     """
     if m.rows != m.cols:
         raise DimensionError("hnf needs a square matrix")
-    return IntMatrix(_hnf_rows(m.entries, m.cols))
+    return IntMatrix(_hnf_rows(m.entries)[0])
 
 
 def snf(m: IntMatrix) -> list:
@@ -189,9 +185,9 @@ def snf(m: IntMatrix) -> list:
     n = m.rows
     # The first pass reduces the input itself: that rejects a singular
     # input and makes a diagonal one positive before the diagonality test.
-    a = _hnf_rows(m.entries, n)
+    a = _hnf_rows(m.entries)[0]
     while any(a[i][k] for i in range(n) for k in range(i)):
-        a = _hnf_rows(list(zip(*a)), n)
+        a = _hnf_rows(zip(*a))[0]
     s = [a[i][i] for i in range(n)]
     for i in range(n):
         for k in range(i + 1, n):
@@ -392,7 +388,7 @@ def normalize_first_column(lat: Lattice) -> Lattice:
     the shape ``puncture`` demands.
     """
     m = [list(r) for r in lat.int_matrix.entries]
-    _pivot_column(m, 0, 0, range(len(m)))
+    _pivot_column(m, 0, range(len(m)))
     return Lattice(m)
 
 

@@ -144,7 +144,7 @@ def hadamard_kernel_code(h: HadamardMatrix) -> Lattice:
     # them in its first n rows, already in the code's own canonical HNF.
     stacked = [[int(i == j) for j in range(n)] + list(h.matrix.column(i)) for i in range(n)]
     stacked += [[0] * n + [d * (i == j) for j in range(n)] for i in range(n)]
-    code = Lattice([r[:n] for r in intlat._hnf_rows(stacked, 2 * n)[:n]])
+    code = Lattice([r[:n] for r in intlat.hnf(IntMatrix(stacked)).entries[:n]])
     for row in code.int_matrix.entries:  # every generator really is in the kernel
         if any(v % d for v in h.matrix.mat_vec(row)):
             raise ArithmeticError("kernel construction produced a non-member")

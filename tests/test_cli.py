@@ -12,6 +12,11 @@ from hypothesis import strategies as st
 from leelat import analyzer, cli, constructions
 
 
+def identity_text(n):
+    return f"{n} {n}\n" + "".join(
+        " ".join("1" if i == j else "0" for j in range(n)) + "\n" for i in range(n))
+
+
 def run_cli(args, stdin=None, monkeypatch=None):
     if stdin is not None:
         assert monkeypatch is not None
@@ -197,6 +202,32 @@ class TestConstruct:
         assert run_cli(["construct", "kronecker", "--a", str(f), "--b", str(f)]) == 2
         assert "ceiling" in capsys.readouterr().err
 
+    def test_matrix_inputs_held_to_ceiling(self, tmp_path, capsys):
+        f = tmp_path / "wide.txt"
+        f.write_text(identity_text(1200))
+        for argv in (["double", "--input", f], ["puncture", "--input", f],
+                     ["kronecker", "--a", f, "--b", f]):
+            assert run_cli(["construct", *map(str, argv)]) in (2, 3)
+            out = capsys.readouterr()
+            assert out.out == "" and len(out.err.splitlines()) == 1
+        f.write_text(identity_text(129))  # doubles past the ceiling
+        assert run_cli(["construct", "double", "--input", str(f)]) == 2
+        assert "ceiling" in capsys.readouterr().err
+        f.write_text(identity_text(cli.MAX_LENGTH + 1))  # punctures onto it
+        assert run_cli(["construct", "puncture", "--input", str(f), "--out", str(tmp_path / "p")]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == cli.MAX_LENGTH
+
+    def test_double_budget_exhaustion_exits_4(self, tmp_path, capsys, monkeypatch):
+        f = tmp_path / "gn16.txt"
+        assert run_cli(["construct", "gn", "--n", "16", "--out", str(f)]) == 0
+        capsys.readouterr()
+        search = analyzer.min_distance
+        monkeypatch.setattr(analyzer, "min_distance",
+                            lambda lat, cap: search(lat, cap, point_budget=100))
+        assert run_cli(["construct", "double", "--input", str(f)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("inconclusive: search budget exhausted") and len(err.splitlines()) == 1
+
     def test_hadamard_order_12(self, tmp_path, capsys):
         out = tmp_path / "h12.txt"
         assert run_cli(["construct", "hadamard", "--order", "12", "--out", str(out)]) == 0
@@ -338,16 +369,11 @@ class TestAnalyze:
     def test_dimension_ceiling_exits_3(self, tmp_path, capsys):
         # the searches recurse once per coordinate; the ceiling is construct's
         f = tmp_path / "wide.txt"
-
-        def diagonal(n):
-            f.write_text(f"{n} {n}\n" + "".join(
-                " ".join("1" if i == j else "0" for j in range(n)) + "\n" for i in range(n)))
-
-        diagonal(1200)
+        f.write_text(identity_text(1200))
         assert run_cli(["analyze", str(f)]) == 3
         assert capsys.readouterr().err == (
             f"error: {f}: line 1: a 1200x1200 matrix is above the dimension ceiling 256\n")
-        diagonal(cli.MAX_LENGTH)
+        f.write_text(identity_text(cli.MAX_LENGTH))
         assert run_cli(["analyze", str(f)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert (doc["n"], doc["min_distance"], doc["covering_radius"]) == (256, 1, 0)

@@ -169,6 +169,8 @@ class TestDouble:
     def test_requires_distance_4(self):
         with pytest.raises(ValueError):
             constructions.double(constructions.gw_perfect(2))
+        with pytest.raises(ValueError, match="exceeds"):  # d = 8, every weight <= 4 searched
+            constructions.double(hadamard.hadamard_code(hadamard.sylvester(3)))
 
 
 class TestScaledDiameterCode:

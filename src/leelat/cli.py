@@ -262,7 +262,7 @@ def _read_points(args, length: int):
         if not line:
             continue
         try:
-            p = tuple(int(v) for v in line.split())
+            p = tuple(map(int, line.split()))
         except ValueError as e:
             fault = intlat.number_fault(line, "coordinate", "non-integer coordinate")
             raise FormatFault(f"line {lineno}: {fault}") from e
@@ -273,19 +273,28 @@ def _read_points(args, length: int):
 
 
 def cmd_transform(args) -> int:
-    spec = xform.TransformSpec.build(args.d)
-    points = _read_points(args, spec.h.order)
+    # disc prints the involution's image, cont prints H.x / d
+    if args.mode == "disc":
+        spec = xform.TransformSpec.build(args.d)
+        h, scale = spec.h, 1
+    else:
+        h, scale = xform.transform_matrix(args.d), args.d
+    text = {}  # each distinct value met in an image -> str(Fraction(value, scale))
     out = []
-    for p in points:
+    for cols in xform.column_blocks(_read_points(args, h.order), h.order):
         if args.mode == "disc":
-            image = xform.discrete_transform(spec, p)
+            image = xform.discrete_columns(spec, cols)
         else:
-            image = [Fraction(v, spec.d) for v in xform.t_apply(spec.h, p).nums]
+            image = xform.hadamard_columns(h, cols)
         try:
-            out.append(" ".join(map(str, image)))
+            for v in set().union(*image).difference(text):
+                text[v] = str(Fraction(v, scale))
         except ValueError:  # str() refuses a number past the int-string limit
-            intlat.check_digits("image coordinate", [v.numerator for v in image])
+            for p in zip(*image):  # report the first point, in input order, that fails
+                intlat.check_digits("image coordinate", [Fraction(v, scale).numerator for v in p])
             raise
+        words = [list(map(text.__getitem__, col)) for col in image]
+        out.append("\n".join(map(" ".join, zip(*words))))
     sys.stdout.write("\n".join(out) + ("\n" if out else ""))
     return EXIT_OK
 

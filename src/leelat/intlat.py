@@ -214,6 +214,16 @@ def adjugate(m: IntMatrix) -> IntMatrix:
     return IntMatrix([[cofactor(j, i) for j in range(n)] for i in range(n)])
 
 
+def _balanced_prod(values: list) -> int:
+    """The product of ``values``, multiplied pairwise in rounds so that each
+    product meets a partner of its own size; a left-to-right product
+    multiplies an ever longer number by one short one at every step."""
+    while len(values) > 1:
+        odd = values[-1:] if len(values) % 2 else []
+        values = list(map(operator.mul, values[::2], values[1::2])) + odd
+    return values[0]
+
+
 class Lattice:
     """A full-rank sublattice of Z^n: integer generator rows plus an exact
     rational scale factor applied to every row, which must keep them integral.
@@ -250,7 +260,7 @@ class Lattice:
         object.__setattr__(self, "n", gen.rows)
         object.__setattr__(self, "int_matrix", m)
         object.__setattr__(self, "hnf", h)
-        object.__setattr__(self, "volume", math.prod(h.entries[i][i] for i in range(gen.rows)))
+        object.__setattr__(self, "volume", _balanced_prod([h.entries[i][i] for i in range(gen.rows)]))
 
     def __setattr__(self, name, value):
         raise AttributeError("Lattice is immutable")

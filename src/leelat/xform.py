@@ -10,7 +10,9 @@ squeezes a Lee sphere into a small box.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import islice
 
 from . import analyzer, intlat, metric
 from .errors import BoundViolationError, DimensionError, IntegralityError
@@ -40,11 +42,49 @@ class RadicalVector:
         return tuple(v // root for v in self.nums)
 
 
+#: points per block in the column sweeps: enough to spread each elementwise
+#: pass's call over many points, few enough that a block's columns stay small
+BLOCK = 256
+
+
+def column_blocks(points, n: int):
+    """Yield the points of length ``n``, in input order, in blocks of at most
+    ``BLOCK`` held as coordinate columns: column j of a block is the tuple of
+    the j-th coordinates of its points."""
+    points = iter(points)
+    while block := list(islice(points, BLOCK)):
+        if any(len(p) != n for p in block):
+            raise DimensionError("point length disagrees with the transform order")
+        yield list(zip(*block))
+
+
+def hadamard_columns(h: HadamardMatrix, cols) -> list:
+    """H.x for every point x of a block held as coordinate columns: column i
+    of the result holds (H.x)_i of each point, exactly.
+
+    Row i of H.x is the total of all columns minus twice the total of the
+    columns where row i of H is -1, so each entry costs one elementwise
+    addition over the block."""
+    if len(cols) != h.order:
+        raise DimensionError("point length disagrees with the matrix order")
+    if len(set(map(len, cols))) > 1:
+        raise DimensionError("coordinate columns of a block differ in length")
+    total = cols[0]
+    for col in cols[1:]:
+        total = list(map(operator.add, total, col))
+    out = []
+    for row in h.matrix.entries:
+        neg = None
+        for v, col in zip(row, cols):
+            if v < 0:
+                neg = col if neg is None else list(map(operator.add, neg, col))
+        out.append(total if neg is None else [t - 2 * v for t, v in zip(total, neg)])
+    return out
+
+
 def t_apply(h: HadamardMatrix, x) -> RadicalVector:
     """The continuous transform H.x / sqrt(order), exactly."""
-    if len(x) != h.order:
-        raise DimensionError("point length disagrees with the matrix order")
-    return RadicalVector(h.matrix.mat_vec(x), h.order)
+    return RadicalVector(tuple(c[0] for c in hadamard_columns(h, [(v,) for v in x])), h.order)
 
 
 def _sphere_images(m: IntMatrix, radius: int, center=None):
@@ -100,13 +140,10 @@ def continuous_box(h: HadamardMatrix, radius: int) -> ContinuousBoxReport:
     if radius < 0:
         raise ValueError("radius must be non-negative")
     n = h.order
-    max_abs = 0
-    count = 0
-    for image in _sphere_images(h.matrix, radius):
-        top = max(map(abs, image))
-        if top > max_abs:
-            max_abs = top
-        count += 1
+    max_abs = count = 0
+    for cols in column_blocks(_sphere_images(h.matrix, radius), n):
+        max_abs = max(max_abs, max(map(max, cols)), -min(map(min, cols)))
+        count += len(cols[0])
     if max_abs > radius:
         raise BoundViolationError(
             f"|H.x| reached {max_abs} > {radius} on a sphere point"
@@ -151,6 +188,14 @@ def hadamard_kernel_code(h: HadamardMatrix) -> Lattice:
     return code
 
 
+def transform_matrix(d: int) -> HadamardMatrix:
+    """The symmetric Sylvester matrix of order d^2 behind the transforms with
+    box parameter d, a power of two."""
+    if d < 2 or d & (d - 1):
+        raise ValueError("d must be a power of two, at least 2")
+    return sylvester(2 * d.bit_length() - 2)
+
+
 @dataclass(frozen=True)
 class TransformSpec:
     """Everything the discrete involution needs: the symmetric Hadamard
@@ -170,9 +215,7 @@ class TransformSpec:
 
     @classmethod
     def build(cls, d: int) -> "TransformSpec":
-        if d < 2 or d & (d - 1):
-            raise ValueError("d must be a power of two, at least 2")
-        return cls.from_hadamard(sylvester(2 * d.bit_length() - 2))
+        return cls.from_hadamard(transform_matrix(d))
 
     @classmethod
     def from_hadamard(cls, h: HadamardMatrix) -> "TransformSpec":
@@ -188,37 +231,49 @@ class TransformSpec:
         return cls(h=h, d=d, code=code, rho=table.rho, cosets=cosets)
 
 
-def _discrete_image(spec: TransformSpec, hp) -> tuple:
-    """The involution's image of p, given hp = H.p: with s the leader of
-    p's coset, (H.p - H.s)/d + s."""
+def _involution_columns(spec: TransformSpec, hp) -> list:
+    """The involution's image of every point p of a block, given the columns
+    of H.p: with s the leader of p's coset, (H.p - H.s)/d + s."""
     d = spec.d
-    s, hs = spec.cosets[tuple([v % d for v in hp])]
-    image = []
-    for a, b, c in zip(hp, hs, s):
-        q, r = divmod(a - b, d)
-        if r:
+    syndromes = zip(*[[v % d for v in col] for col in hp])
+    found = list(map(spec.cosets.__getitem__, syndromes))
+    if not found:
+        return [[] for _ in hp]
+    leaders, leader_images = zip(*found)
+    out = []
+    for a, b, s in zip(hp, zip(*leader_images), zip(*leaders)):
+        diff = list(map(operator.sub, a, b))
+        if any([v % d for v in diff]):
             raise IntegralityError("H.(p - s) is not divisible by d")
-        image.append(q + c)
-    return tuple(image)
+        out.append([v // d + c for v, c in zip(diff, s)])
+    return out
+
+
+def discrete_columns(spec: TransformSpec, cols) -> list:
+    """The involution of Z^{d^2} on a block of points held as coordinate
+    columns (see ``column_blocks``); column i of the result holds coordinate
+    i of every image."""
+    if len(cols) != spec.h.order:
+        raise DimensionError("point length disagrees with the transform order")
+    return _involution_columns(spec, hadamard_columns(spec.h, cols))
 
 
 def discrete_transform(spec: TransformSpec, p) -> tuple:
     """The involution of Z^{d^2}: split p = c + s with c in the code and s
     its coset leader, and return (H.c)/d + s."""
-    if len(p) != spec.h.order:
-        raise DimensionError("point length disagrees with the transform order")
-    return _discrete_image(spec, spec.h.matrix.mat_vec(p))
+    return tuple(c[0] for c in discrete_columns(spec, [(v,) for v in p]))
 
 
 def check_involution_discrete(spec: TransformSpec, points) -> int:
     """Round-trip every point through the involution; any mismatch is an
     implementation bug and raises."""
     count = 0
-    for p in points:
-        p = tuple(p)
-        if discrete_transform(spec, discrete_transform(spec, p)) != p:
-            raise BoundViolationError(f"discrete transform failed to round-trip {p}")
-        count += 1
+    for cols in column_blocks(points, spec.h.order):
+        back = discrete_columns(spec, discrete_columns(spec, cols))
+        for p, q in zip(zip(*cols), zip(*back)):
+            if p != q:
+                raise BoundViolationError(f"discrete transform failed to round-trip {p}")
+        count += len(cols[0])
     return count
 
 
@@ -239,14 +294,15 @@ def discrete_box(spec: TransformSpec, radius: int, center=None) -> DiscreteBoxRe
     ``CapExceededError``."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    images = _sphere_images(spec.h.matrix, radius, center)
-    lo = hi = _discrete_image(spec, next(images))
-    count = 1
-    for hp in images:
-        image = _discrete_image(spec, hp)
-        lo = tuple(map(min, lo, image))
-        hi = tuple(map(max, hi, image))
-        count += 1
+    blocks = column_blocks(_sphere_images(spec.h.matrix, radius, center), spec.h.order)
+    images = (_involution_columns(spec, hp) for hp in blocks)
+    image = next(images)
+    lo, hi = list(map(min, image)), list(map(max, image))
+    count = len(image[0])
+    for image in images:
+        lo = list(map(min, lo, map(min, image)))
+        hi = list(map(max, hi, map(max, image)))
+        count += len(image[0])
     extents = tuple(h - l + 1 for l, h in zip(lo, hi))
     rho = spec.rho
     bound = 2 * (-((radius + rho) // -spec.d)) + 2 * rho + 1

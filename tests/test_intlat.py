@@ -185,6 +185,13 @@ class TestLattice:
         half = Lattice([[2 * v for v in r] for r in MINKOWSKI], Fraction(1, 2))
         assert half.int_matrix == gen and half.hnf == lat.hnf and half.volume == lat.volume == 38
 
+    def test_volume_of_diagonal_lattices(self):
+        # the diagonal is multiplied in pairwise rounds; an odd count leaves one over
+        for n in range(1, 10):
+            diag = [k + 2 for k in range(n)]
+            lat = Lattice([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+            assert lat.volume == math.prod(diag)
+
     def test_integrality_checked_when_made(self):
         message = "scale 1/3 does not keep the generator integral"
         with pytest.raises(IntegralityError, match=message):

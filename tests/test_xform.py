@@ -1,13 +1,17 @@
+import contextlib
 import functools
+import io
 import math
 import random
 from collections import Counter
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leelat import analyzer, hadamard, intlat, metric, xform
+from leelat import analyzer, cli, hadamard, intlat, metric, xform
 from leelat.errors import CapExceededError, DimensionError, IntegralityError
 from leelat.intlat import Lattice
 from leelat.xform import ContinuousBoxReport, DiscreteBoxReport, RadicalVector, TransformSpec
@@ -281,6 +285,37 @@ def test_streamed_sweeps_match_brute_sphere(data):
         assert xform.continuous_box(h, radius) == ContinuousBoxReport(
             order=n, radius=radius, max_abs=max_abs, points_checked=len(origin), witness_attains=True
         )
+
+
+def transform_lines(d, mode, pts):
+    stdin = "".join(" ".join(map(str, p)) + "\n" for p in pts)
+    with mock.patch("sys.stdin", io.StringIO(stdin)), contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.run(["transform", "--d", str(d), "--mode", mode]) == 0
+    return out.getvalue().splitlines()
+
+
+@settings(max_examples=2, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32))
+def test_blocks_keep_every_point_in_order(seed):
+    """Batches on both sides of the block size, through the library and the
+    CLI: every point's image comes back, in input order."""
+    rng = random.Random(seed)
+    for d in (2, 4):
+        spec, n = built_spec(d), d * d
+        for size in (0, 1, xform.BLOCK - 1, xform.BLOCK, xform.BLOCK + 1, 1000):
+            pts = [tuple(rng.randint(-60, 60) for _ in range(n)) for _ in range(size)]
+            disc = [leader_image(spec, p) for p in pts]
+            cont = [[str(Fraction(sum(a * b for a, b in zip(row, p)), d)) for row in spec.h.matrix.entries]
+                    for p in pts]
+            whole = [tuple(p[j] for p in pts) for j in range(n)]  # the batch as one block
+            for blocks in (list(xform.column_blocks(pts, n)), [whole]):
+                images = [xform.discrete_columns(spec, cols) for cols in blocks]
+                assert all(len(image) == n for image in images)
+                assert [q for image in images for q in zip(*image)] == disc
+                assert [[str(Fraction(v, d)) for v in q] for cols in blocks
+                        for q in zip(*xform.hadamard_columns(spec.h, cols))] == cont
+            assert transform_lines(d, "disc", pts) == [" ".join(map(str, q)) for q in disc]
+            assert transform_lines(d, "cont", pts) == [" ".join(q) for q in cont]
 
 
 class TestTransformSpec:

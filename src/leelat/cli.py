@@ -17,6 +17,7 @@ from . import analyzer, constructions, hadamard, intlat, xform
 from .errors import DigitLimitError, InconclusiveError, LatticeError
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_FORMAT = 3
 EXIT_INCONCLUSIVE = 4
@@ -316,6 +317,9 @@ def run(argv=None) -> int:
     except InconclusiveError as e:
         print(f"inconclusive: {e}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    except LatticeError as e:  # a failed internal check: a proven bound, an exact division, a cap
+        print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

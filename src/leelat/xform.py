@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, chain, islice
 
 from . import analyzer, intlat, metric
 from .errors import BoundViolationError, DimensionError, IntegralityError
@@ -87,36 +87,109 @@ def t_apply(h: HadamardMatrix, x) -> RadicalVector:
     return RadicalVector(tuple(c[0] for c in hadamard_columns(h, [(v,) for v in x])), h.order)
 
 
-def _sphere_images(m: IntMatrix, radius: int, center=None):
-    """Yield m.p for every point p of the Lee sphere of the given radius
-    about ``center`` (default the origin), each point exactly once.
+def _carry_walk(cols, radius: int, origin: tuple):
+    """Yield (w, origin + sum_j x_j cols[j]) for every x of Manhattan weight
+    w <= radius in Z^len(cols), each once, the origin first.
 
-    No point set is stored.  The walk fixes the nonzero coordinates of
-    p - center in increasing position; fixing coordinate j to v adds v
-    times column j of m to the image carried down, so a point costs one
-    vector addition instead of a matrix-vector product.
+    The walk fixes the nonzero coordinates of x in increasing position;
+    fixing coordinate j to v adds v times cols[j] to the image carried down,
+    so a point costs one vector addition instead of a matrix-vector product.
     """
-    n = m.cols
-    center = metric.sphere_center(n, radius, center)
-    cols = [m.column(j) for j in range(n)]
+    n = len(cols)
 
     def walk(start, rem, image):
-        # every point with its first nonzero offset at or after ``start``
+        # every point with its first nonzero coordinate at or after ``start``
         for j in range(start, n):
             col = cols[j]
             up = down = image
             for left in range(rem - 1, -1, -1):
-                up = tuple([a + b for a, b in zip(up, col)])
-                down = tuple([a - b for a, b in zip(down, col)])
-                yield up
-                yield down
+                up = tuple(map(operator.add, up, col))
+                down = tuple(map(operator.sub, down, col))
+                yield radius - left, up
+                yield radius - left, down
                 if left and j + 1 < n:
                     yield from walk(j + 1, left, up)
                     yield from walk(j + 1, left, down)
 
-    image = m.mat_vec(center)
-    yield image
-    yield from walk(0, radius, image)
+    yield 0, origin
+    yield from walk(0, radius, origin)
+
+
+#: most points of the tail ball a sphere walk stores
+TAIL = 4 * BLOCK
+#: most sphere points a walk keeps in buffered head points before it flushes them all
+HELD = 16 * BLOCK
+
+
+def _sphere_image_blocks(m: IntMatrix, radius: int, center=None):
+    """Yield m.p for every point p of the Lee sphere of the given radius
+    about ``center`` (default the origin), each point exactly once, in
+    blocks of image columns: row i of a block holds (m.p)_i of its points.
+
+    The coordinates split into a head and a tail of the last t, the most
+    whose ball of the given radius has at most ``TAIL`` points.  Every
+    sphere point is a head point of weight w plus a tail point of weight at
+    most radius - w, so its image is m.center + m.head + m.tail.  The tail
+    ball's images are stored once, by weight, so the ball of radius r is the
+    prefix ``[:ends[r]]`` of that table.  Head points are streamed, buffered
+    by weight, and a buffer goes out as one block once it stands for
+    ``BLOCK`` sphere points; all go out once together they stand for
+    ``HELD``, and at the end.  No point set is stored.
+    """
+    n = m.cols
+    center = metric.sphere_center(n, radius, center)
+    cols = [m.column(j) for j in range(n)]
+    t = 0
+    while t < n and metric.lee_sphere_size(t + 1, radius) <= TAIL:
+        t += 1
+    shells = [[] for _ in range(radius + 1)]
+    for w, image in _carry_walk(cols[n - t:], radius, (0,) * m.rows):
+        shells[w].append(image)
+    ends = list(accumulate(map(len, shells)))
+    tail = list(zip(*chain.from_iterable(shells)))  # row i: (m.q)_i, q by weight
+    del shells
+
+    def block(heads):
+        # the sphere points of head points (weight, images), as image columns
+        out = []
+        for i, tail_row in enumerate(tail):
+            row = []
+            for w, images in heads:
+                part = tail_row[: ends[radius - w]]
+                row += [p[i] + q for p in images for q in part]
+            out.append(row)
+        return out
+
+    buffers = [[] for _ in range(radius + 1)]  # head images by weight
+
+    def flush():
+        # every buffer, packed into blocks of at least BLOCK points where there are that many
+        heads, size = [], 0
+        for w, buf in enumerate(buffers):
+            if buf:
+                heads.append((w, buf))
+                size += len(buf) * ends[radius - w]
+                buffers[w] = []
+                if size >= BLOCK:
+                    yield block(heads)
+                    heads, size = [], 0
+        if heads:
+            yield block(heads)
+
+    held = 0  # sphere points the buffered head points stand for
+    for w, image in _carry_walk(cols[: n - t], radius, m.mat_vec(center)):
+        buf = buffers[w]
+        buf.append(image)
+        size = ends[radius - w]
+        held += size
+        if len(buf) * size >= BLOCK:
+            yield block([(w, buf)])
+            held -= len(buf) * size
+            buffers[w] = []
+        elif held >= HELD:
+            yield from flush()
+            held = 0
+    yield from flush()
 
 
 @dataclass(frozen=True)
@@ -141,7 +214,7 @@ def continuous_box(h: HadamardMatrix, radius: int) -> ContinuousBoxReport:
         raise ValueError("radius must be non-negative")
     n = h.order
     max_abs = count = 0
-    for cols in column_blocks(_sphere_images(h.matrix, radius), n):
+    for cols in _sphere_image_blocks(h.matrix, radius):
         max_abs = max(max_abs, max(map(max, cols)), -min(map(min, cols)))
         count += len(cols[0])
     if max_abs > radius:
@@ -294,7 +367,7 @@ def discrete_box(spec: TransformSpec, radius: int, center=None) -> DiscreteBoxRe
     ``CapExceededError``."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    blocks = column_blocks(_sphere_images(spec.h.matrix, radius, center), spec.h.order)
+    blocks = _sphere_image_blocks(spec.h.matrix, radius, center)
     images = (_involution_columns(spec, hp) for hp in blocks)
     image = next(images)
     lo, hi = list(map(min, image)), list(map(max, image))

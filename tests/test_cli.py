@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leelat import analyzer, cli, constructions
+from leelat import analyzer, cli, constructions, xform
+from leelat.errors import BoundViolationError, CapExceededError, IntegralityError
 
 
 def identity_text(n):
@@ -487,6 +488,18 @@ class TestTransform:
 
     def test_invalid_d_exits_2(self):
         assert run_cli(["transform", "--d", "3", "--mode", "disc"]) == 2
+
+    @pytest.mark.parametrize("error", [BoundViolationError, IntegralityError, CapExceededError])
+    def test_internal_error_exits_1(self, error, capsys, monkeypatch):
+        """A library error the CLI does not expect is a bug: exit 1 with one
+        stderr line, not a traceback."""
+        def broken(spec, cols):
+            raise error("broken invariant")
+
+        monkeypatch.setattr(xform, "discrete_columns", broken)
+        argv = ["transform", "--d", "2", "--mode", "disc"]
+        assert run_cli(argv, stdin="1 0 0 0\n", monkeypatch=monkeypatch) == 1
+        assert capsys.readouterr() == ("", "internal error: broken invariant\n")
 
     @pytest.mark.parametrize("source", ["input", "stdin"])
     def test_non_utf8_exits_3(self, source, tmp_path, capsys, monkeypatch):

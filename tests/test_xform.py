@@ -3,12 +3,13 @@ import functools
 import io
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leelat import analyzer, cli, hadamard, intlat, metric, xform
@@ -261,6 +262,53 @@ def test_involution_d4_random(p):
     assert xform.discrete_transform(spec, xform.discrete_transform(spec, p)) == p
 
 
+def sphere_images(m, radius, center=None):
+    """The images the sphere walk emits, flattened out of its blocks."""
+    blocks = list(xform._sphere_image_blocks(m, radius, center))
+    assert all(len(b) == m.rows and len(set(map(len, b))) == 1 for b in blocks)
+    return [q for b in blocks for q in zip(*b)]
+
+
+@st.composite
+def sphere_cases(draw):
+    n, rows = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    entries = draw(st.lists(points(n, 9), min_size=rows, max_size=rows))
+    center = draw(st.none() | points(n, 20))
+    return entries, draw(st.integers(0, 5)), center
+
+
+def test_sphere_walk_examples_reach_both_tail_extremes():
+    assert metric.lee_sphere_size(3, 5) <= xform.TAIL  # every coordinate in the tail
+    assert metric.lee_sphere_size(1, 512) > xform.TAIL  # no coordinate in the tail
+
+
+@HYPOTHESIS
+@example(([[1, -2, 3], [4, 0, -1]], 5, None))
+@example(([[1, -2, 3], [4, 0, -1]], 5, (7, -3, 2)))
+@example(([[3], [-2]], 512, None))
+@example(([[3], [-2]], 600, (11,)))
+@given(sphere_cases())
+def test_sphere_blocks_match_enumeration(case):
+    """Head and tail walks together give m.p for each sphere point once."""
+    entries, radius, center = case
+    m = intlat.IntMatrix(entries)
+    sphere = metric.enumerate_sphere(m.cols, radius, center=center)
+    assert Counter(sphere_images(m, radius, center)) == Counter(m.mat_vec(p) for p in sphere)
+
+
+def test_sphere_walk_memory_is_bounded():
+    """The walk holds a bounded tail table and buffer, never the sphere:
+    the 50,049-point sweep in Z^16 peaks under 1 MB."""
+    h = hadamard.sylvester(4)
+    tracemalloc.start()
+    try:
+        xform.continuous_box(h, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
 @HYPOTHESIS
 @given(st.data())
 def test_streamed_sweeps_match_brute_sphere(data):
@@ -270,7 +318,7 @@ def test_streamed_sweeps_match_brute_sphere(data):
         radius = data.draw(st.integers(0, max_radius))
         center = data.draw(points(n, 40))
         sphere = metric.enumerate_sphere(n, radius, center=center)
-        walked = Counter(xform._sphere_images(h.matrix, radius, center))
+        walked = Counter(sphere_images(h.matrix, radius, center))
         assert walked == Counter(h.matrix.mat_vec(p) for p in sphere)
 
         images = [leader_image(spec, p) for p in sphere]

@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(handler=cmd_construct)
     c.add_argument("family", choices=FAMILIES)
     for name, (kind, text) in CONSTRUCT_FLAGS.items():
-        readers = ", ".join(fam for fam, (flags, _, _) in FAMILIES.items() if name in flags)
+        readers = ", ".join(fam for fam, (flags, *_) in FAMILIES.items() if name in flags)
         c.add_argument(f"--{name}", type=None if kind == "matrix" else int,
                        help=f"{text} ({readers})")
     c.add_argument(
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("density", help="print the packing-density table as CSV")
     t.set_defaults(handler=cmd_density)
-    t.add_argument("--max-n", type=int, default=10, help="largest length (<= 12)")
+    t.add_argument("--max-n", type=_bounded_int(2, 12), default=10, help="largest length (<= 12)")
 
     x = sub.add_parser("transform", help="apply the sphere-to-box transform to a point stream")
     x.set_defaults(handler=cmd_transform)
@@ -135,54 +135,47 @@ def _hadamard(order: int) -> intlat.Lattice:
 
 
 def _gij(i: int, j: int) -> intlat.Lattice:
-    if i >= MAX_LENGTH.bit_length():  # length 2^i > MAX_LENGTH, not built
-        raise UsageFault(f"--i {i} gives length 2^{i}, above the ceiling {MAX_LENGTH}")
     if j >= MAX_LENGTH.bit_length():  # minimum distance 2^j > MAX_LENGTH
         raise UsageFault(f"--j {j} gives distance 2^{j}, above the ceiling {MAX_LENGTH}")
     return hadamard.g_matrix(i, j)
 
 
-def _double(lat: intlat.Lattice) -> intlat.Lattice:
-    if 2 * lat.n > MAX_LENGTH:  # refused before the distance search
-        raise UsageFault(f"double length {2 * lat.n} is above the ceiling {MAX_LENGTH}")
-    return constructions.double(lat)
-
-
-def _kronecker(a: intlat.Lattice, b: intlat.Lattice) -> intlat.Lattice:
-    if a.n * b.n > MAX_LENGTH:
-        raise UsageFault(f"kronecker length {a.n * b.n} is above the ceiling {MAX_LENGTH}")
-    return intlat.kronecker(a, b)
-
-
-#: family -> (flags, builder, nominal).  The builder takes the flag values
-#: in order, matrix files already loaded; ``nominal`` maps the same values
-#: to (minimum distance, volume formula or None), or is None when the
-#: family has no nominal parameters.
+#: family -> (flags, builder, length, nominal).  The builder and ``length``
+#: take the flag values in order, matrix files already loaded; ``length``
+#: gives the code length they ask for, held to MAX_LENGTH before the build.
+#: ``nominal`` maps the same values to (minimum distance, volume formula or
+#: None), or is None when the family has no nominal parameters.
 FAMILIES = {
-    "hadamard": (("order",), _hadamard, lambda order: (order, f"{order}^{order//2}")),
-    "gij": (("i", "j"), _gij, lambda i, j: (2**j, str(hadamard.g_volume_formula(i, j)))),
-    "minkowski3": (("d",), constructions.minkowski3, lambda d: (d, "19/108*d^3")),
-    "dim4": (("d",), constructions.dim4, None),
-    "n2perfect": (("d",), constructions.n2_perfect, lambda d: (d, "1/2*d^2")),
-    "gn": (("n",), constructions.gn, lambda n: (4, f"{4 * n}")),
-    "double": (("input",), _double, lambda lat: (4, None)),
-    "scaled": (("n", "d"), constructions.scaled_diameter_code, lambda n, d: (d, f"{4 * n}*(d/4)^{n}")),
-    "gw": (("n",), constructions.gw_perfect, lambda n: (3, f"{2 * n + 1}")),
-    "kronecker": (("a", "b"), _kronecker, None),
-    "puncture": (("input",), lambda lat: intlat.puncture(intlat.normalize_first_column(lat)), None),
+    "hadamard": (("order",), _hadamard, lambda order: order,
+                 lambda order: (order, f"{order}^{order//2}")),
+    # 2^i with i clamped to [0, MAX_LENGTH.bit_length()]: the top is already past
+    # the ceiling, and a negative i is the builder's to refuse
+    "gij": (("i", "j"), _gij, lambda i, j: 1 << min(max(i, 0), MAX_LENGTH.bit_length()),
+            lambda i, j: (2**j, str(hadamard.g_volume_formula(i, j)))),
+    "minkowski3": (("d",), constructions.minkowski3, lambda d: 3, lambda d: (d, "19/108*d^3")),
+    "dim4": (("d",), constructions.dim4, lambda d: 4, None),
+    "n2perfect": (("d",), constructions.n2_perfect, lambda d: 2, lambda d: (d, "1/2*d^2")),
+    "gn": (("n",), constructions.gn, lambda n: n, lambda n: (4, f"{4 * n}")),
+    "double": (("input",), constructions.double, lambda lat: 2 * lat.n, lambda lat: (4, None)),
+    "scaled": (("n", "d"), constructions.scaled_diameter_code, lambda n, d: n,
+               lambda n, d: (d, f"{4 * n}*(d/4)^{n}")),
+    "gw": (("n",), constructions.gw_perfect, lambda n: n, lambda n: (3, f"{2 * n + 1}")),
+    "kronecker": (("a", "b"), intlat.kronecker, lambda a, b: a.n * b.n, None),
+    "puncture": (("input",), lambda lat: intlat.puncture(intlat.normalize_first_column(lat)),
+                 lambda lat: lat.n - 1, None),
 }
 
 
 #: construct flag -> (kind, help).  A "matrix" flag names a matrix file,
 #: loaded before the build and held to MAX_LENGTH + 1 rows and columns, so
-#: that ``puncture`` can reach MAX_LENGTH; a "length" flag is held to
-#: MAX_LENGTH.  Which family reads which flag is FAMILIES' to say.
+#: that ``puncture`` can reach MAX_LENGTH; an "int" flag is an integer.
+#: Which family reads which flag is FAMILIES' to say.
 CONSTRUCT_FLAGS = {
-    "n": ("length", "code length"),
+    "n": ("int", "code length"),
     "d": ("int", "minimum-distance parameter"),
     "i": ("int", "first index: length 2^i"),
     "j": ("int", "second index: minimum distance 2^j"),
-    "order": ("length", "Hadamard order: a power of 2, or q+1 for a prime q = 3 mod 4"),
+    "order": ("int", "Hadamard order: a power of 2, or q+1 for a prime q = 3 mod 4"),
     "input": ("matrix", "input matrix file"),
     "a": ("matrix", "left matrix file"),
     "b": ("matrix", "right matrix file"),
@@ -192,16 +185,17 @@ CONSTRUCT_FLAGS = {
 def _construct_lattice(args) -> tuple:
     """Build (lattice, nominal parameter document) for the chosen family."""
     fam = args.family
-    flags, build, nominal = FAMILIES[fam]
+    flags, build, length, nominal = FAMILIES[fam]
     values = []
     for name in flags:
         value = getattr(args, name)
         kind = CONSTRUCT_FLAGS[name][0]
         if value is None:
             raise UsageFault(f"family {fam} requires --{name}")
-        if kind == "length" and value > MAX_LENGTH:
-            raise UsageFault(f"--{name} {value} is above the length ceiling {MAX_LENGTH}")
         values.append(_load_lattice(value, MAX_LENGTH + 1) if kind == "matrix" else value)
+    if length(*values) > MAX_LENGTH:  # refused before anything is built
+        given = " ".join(f"--{name} {getattr(args, name)}" for name in flags)
+        raise UsageFault(f"{fam} {given} asks for a code longer than the ceiling {MAX_LENGTH}")
     try:
         lat = build(*values)
         # the scale's denominator divides every entry; the volume bounds the document
@@ -249,8 +243,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_density(args) -> int:
-    if not 2 <= args.max_n <= 12:
-        raise UsageFault("--max-n must be between 2 and 12")
     sys.stdout.write(constructions.density_csv(args.max_n))
     return EXIT_OK
 

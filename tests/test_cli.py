@@ -133,7 +133,7 @@ class TestConstruct:
 
     @pytest.mark.parametrize(
         "family,flag",
-        [(fam, flag) for fam, (flags, _, _) in cli.FAMILIES.items() for flag in flags],
+        [(fam, flag) for fam, (flags, *_) in cli.FAMILIES.items() for flag in flags],
     )
     def test_missing_param_exits_2(self, family, flag, tmp_path, capsys):
         matrix = tmp_path / "gn3.txt"
@@ -189,12 +189,21 @@ class TestConstruct:
             ["gw", "--n", "257"],
             ["scaled", "--n", "257", "--d", "4"],
             ["gij", "--i", "3", "--j", "9"],
+            ["gij", "--i", "1000000000", "--j", "2"],  # refused without building 2^i
         ],
     )
-    def test_length_ceiling_exits_2(self, argv, capsys):
+    def test_length_ceiling_exits_2(self, argv, tmp_path, capsys):
         assert cli.MAX_LENGTH == 256
-        assert run_cli(["construct", *argv]) == 2
-        assert "ceiling" in capsys.readouterr().err
+        out = tmp_path / "code.txt"
+        assert run_cli(["construct", *argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "ceiling" in captured.err and len(captured.err.splitlines()) == 1
+
+    def test_negative_gij_index_exits_2(self, capsys):
+        assert run_cli(["construct", "gij", "--i", "-1", "--j", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: gij: ") and len(err.splitlines()) == 1
 
     def test_kronecker_length_ceiling_exits_2(self, tmp_path, capsys):
         f = tmp_path / "g17.txt"

@@ -15,9 +15,14 @@ from .intlat import IntMatrix, Lattice
 
 class HadamardMatrix:
     """A +-1 matrix H of order n with H @ H^T == n * I, checked on
-    construction."""
+    construction.
 
-    __slots__ = ("order", "matrix")
+    ``split`` is the largest k with H = H_2^(x)k (x) A, H_2 = [[1, 1], [1, -1]]
+    and A the top-left block of order n / 2^k: k = log2(n) for a Sylvester
+    matrix (A = [1]), 0 for a Paley matrix.  ``xform.hadamard_columns`` runs
+    k butterfly stages and applies A only to the blocks they leave."""
+
+    __slots__ = ("order", "matrix", "split")
 
     def __init__(self, matrix: IntMatrix):
         if matrix.rows != matrix.cols:
@@ -34,8 +39,12 @@ class HadamardMatrix:
             for j in range(i + 1, n):
                 if 2 * (a ^ masks[j]).bit_count() != n:
                     raise ValueError(f"rows {i} and {j} are not orthogonal")
+        k, m = 0, n
+        while m % 2 == 0 and _doubles(masks, m):
+            k, m = k + 1, m // 2
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "split", k)
 
     def __setattr__(self, name, value):
         raise AttributeError("HadamardMatrix is immutable")
@@ -52,6 +61,19 @@ class HadamardMatrix:
 
     def __repr__(self) -> str:
         return f"HadamardMatrix(order={self.order})"
+
+
+def _doubles(masks, m: int) -> bool:
+    """Whether the top-left block of order m of the matrix with these row
+    masks is [[B, B], [B, -B]]: each row i < m/2 reads a|a on its first m
+    columns and row i + m/2 reads a|~a, with a the row's mask of B."""
+    half = m // 2
+    low, whole = (1 << half) - 1, (1 << m) - 1
+    for top, bottom in zip(masks, masks[half:m]):
+        a = top & low
+        if top & whole != a | a << half or bottom & whole != a | (a ^ low) << half:
+            return False
+    return True
 
 
 def sylvester(k: int) -> HadamardMatrix:

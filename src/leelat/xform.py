@@ -62,18 +62,37 @@ def hadamard_columns(h: HadamardMatrix, cols) -> list:
     """H.x for every point x of a block held as coordinate columns: column i
     of the result holds (H.x)_i of each point, exactly.
 
-    Row i of H.x is the total of all columns minus twice the total of the
-    columns where row i of H is -1, so each entry costs one elementwise
-    addition over the block."""
-    if len(cols) != h.order:
+    With H = H_2^(x)k (x) A (k = ``h.split``), H.x is k stages of the fast
+    Walsh-Hadamard butterfly, each sending a column pair (x, y) to
+    (x + y, x - y), then A on each run of order(A) columns they leave.  Row
+    i of A.x is the total of the run minus twice the total of its columns
+    where row i of A is -1.  A Sylvester matrix costs n*log2(n) elementwise
+    additions over the block, a Paley matrix (k = 0) about n^2/2."""
+    n = h.order
+    if len(cols) != n:
         raise DimensionError("point length disagrees with the matrix order")
     if len(set(map(len, cols))) > 1:
         raise DimensionError("coordinate columns of a block differ in length")
+    cols = list(cols)
+    half = n
+    for _ in range(h.split):
+        half //= 2
+        for start in range(0, n, 2 * half):
+            for j in range(start, start + half):
+                x, y = cols[j], cols[j + half]
+                cols[j] = list(map(operator.add, x, y))
+                cols[j + half] = list(map(operator.sub, x, y))
+    leaf = [row[:half] for row in h.matrix.entries[:half]]
+    return [row for start in range(0, n, half) for row in _rows_product(leaf, cols[start : start + half])]
+
+
+def _rows_product(rows, cols) -> list:
+    # the +-1 matrix with these rows times the block with these columns
     total = cols[0]
     for col in cols[1:]:
         total = list(map(operator.add, total, col))
     out = []
-    for row in h.matrix.entries:
+    for row in rows:
         neg = None
         for v, col in zip(row, cols):
             if v < 0:
@@ -255,9 +274,9 @@ def hadamard_kernel_code(h: HadamardMatrix) -> Lattice:
     stacked = [[int(i == j) for j in range(n)] + list(h.matrix.column(i)) for i in range(n)]
     stacked += [[0] * n + [d * (i == j) for j in range(n)] for i in range(n)]
     code = Lattice([r[:n] for r in intlat.hnf(IntMatrix(stacked)).entries[:n]])
-    for row in code.int_matrix.entries:  # every generator really is in the kernel
-        if any(v % d for v in h.matrix.mat_vec(row)):
-            raise ArithmeticError("kernel construction produced a non-member")
+    # every generator row really is in the kernel: the rows go through H as one block
+    if any(v % d for col in hadamard_columns(h, list(zip(*code.int_matrix.entries))) for v in col):
+        raise ArithmeticError("kernel construction produced a non-member")
     return code
 
 
@@ -276,8 +295,8 @@ class TransformSpec:
 
     The code is the kernel of x -> H.x mod d, so the syndrome H.p mod d
     names the coset of p exactly.  ``cosets`` maps each syndrome to the
-    coset's minimum-weight leader s and H.s; ``rho``, the largest leader
-    weight, is the code's covering radius.
+    coset's minimum-weight leader s and its offset s - floor(H.s / d);
+    ``rho``, the largest leader weight, is the code's covering radius.
     """
 
     h: HadamardMatrix
@@ -296,9 +315,9 @@ class TransformSpec:
         d = math.isqrt(h.order)
         table = analyzer.coset_table(code)
         cosets = {}
-        for s in table.leaders:
-            hs = h.matrix.mat_vec(s)
-            cosets[tuple(v % d for v in hs)] = (s, hs)
+        for cols in column_blocks(table.leaders, h.order):
+            for s, hs in zip(zip(*cols), zip(*hadamard_columns(h, cols))):
+                cosets[tuple(v % d for v in hs)] = (s, tuple(c - v // d for c, v in zip(s, hs)))
         if len(cosets) != table.size:
             raise ArithmeticError("two coset leaders share a syndrome")
         return cls(h=h, d=d, code=code, rho=table.rho, cosets=cosets)
@@ -306,20 +325,18 @@ class TransformSpec:
 
 def _involution_columns(spec: TransformSpec, hp) -> list:
     """The involution's image of every point p of a block, given the columns
-    of H.p: with s the leader of p's coset, (H.p - H.s)/d + s."""
+    of H.p.  With s the leader of p's coset the image is (H.p - H.s)/d + s.
+    Write H.p = d*q + r with 0 <= r < d entrywise: r is the syndrome, and
+    H.s leaves the same r, so the image is q + (s - floor(H.s / d)), the
+    syndrome's stored offset.  No divisibility test is needed: the residues
+    cancel, so the division is exact by construction."""
     d = spec.d
     syndromes = zip(*[[v % d for v in col] for col in hp])
     found = list(map(spec.cosets.__getitem__, syndromes))
     if not found:
         return [[] for _ in hp]
-    leaders, leader_images = zip(*found)
-    out = []
-    for a, b, s in zip(hp, zip(*leader_images), zip(*leaders)):
-        diff = list(map(operator.sub, a, b))
-        if any([v % d for v in diff]):
-            raise IntegralityError("H.(p - s) is not divisible by d")
-        out.append([v // d + c for v, c in zip(diff, s)])
-    return out
+    offsets = zip(*[o for _, o in found])
+    return [[v // d + c for v, c in zip(col, off)] for col, off in zip(hp, offsets)]
 
 
 def discrete_columns(spec: TransformSpec, cols) -> list:

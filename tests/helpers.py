@@ -128,3 +128,9 @@ def brute_coset_leaders(lat):
             if len(leaders) == lat.volume:
                 return tuple(leaders.values()), w
         w += 1
+
+
+def kronecker_rows(a, b):
+    """The Kronecker product of two matrices given as row lists: entry
+    (i*p + k, j*q + l) is a[i][j] * b[k][l], with b of shape p x q."""
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]

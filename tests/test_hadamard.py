@@ -9,7 +9,7 @@ from leelat import analyzer, hadamard, intlat
 from leelat.errors import DimensionError
 from leelat.intlat import IntMatrix, Lattice
 
-from helpers import lee_code_min_distance
+from helpers import kronecker_rows, lee_code_min_distance
 
 PRINTED_ORDER_4 = [
     [1, 1, 1, 1],
@@ -152,6 +152,35 @@ def test_random_sign_matrix_verdict_matches_gram(rows):
     except ValueError:
         accepted = False
     assert accepted == gram_is_scalar(rows)
+
+
+class TestSplit:
+    """``split`` is the largest k with H = H_2^(x)k (x) A."""
+
+    def test_sylvester_splits_fully(self):
+        assert [hadamard.sylvester(k).split for k in range(7)] == list(range(7))
+
+    @pytest.mark.parametrize("q", [3, 7, 11, 19])
+    def test_paley_does_not_split(self, q):
+        assert hadamard.paley(q).split == 0
+
+    @pytest.mark.parametrize("k,q", [(1, 7), (2, 3), (2, 11)])
+    def test_kronecker_with_paley_stops_at_the_leaf(self, k, q):
+        rows = kronecker_rows(hadamard.sylvester(k).matrix.entries, hadamard.paley(q).matrix.entries)
+        assert hadamard.HadamardMatrix(IntMatrix(rows)).split == k
+
+    def test_row_permuted_sylvester_stops_early(self):
+        # swapping rows 1 and 2 of the order-4 leaf keeps the rows of
+        # sylvester(4) but leaves only the two outer stages
+        leaf = [list(r) for r in hadamard.sylvester(2).matrix.entries]
+        leaf[1], leaf[2] = leaf[2], leaf[1]
+        rows = kronecker_rows(hadamard.sylvester(2).matrix.entries, leaf)
+        assert sorted(rows) == sorted(map(list, hadamard.sylvester(4).matrix.entries))
+        assert hadamard.HadamardMatrix(IntMatrix(rows)).split == 2
+
+    def test_negated_sylvester_splits_fully(self):
+        rows = [[-v for v in r] for r in hadamard.sylvester(3).matrix.entries]
+        assert hadamard.HadamardMatrix(IntMatrix(rows)).split == 3
 
 
 class TestNormalize:

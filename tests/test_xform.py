@@ -17,6 +17,8 @@ from leelat.errors import CapExceededError, DimensionError, IntegralityError
 from leelat.intlat import Lattice
 from leelat.xform import ContinuousBoxReport, DiscreteBoxReport, RadicalVector, TransformSpec
 
+from helpers import kronecker_rows
+
 HYPOTHESIS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
@@ -260,6 +262,63 @@ def test_discrete_transform_matches_leader_formula(data):
 def test_involution_d4_random(p):
     spec = built_spec(4)
     assert xform.discrete_transform(spec, xform.discrete_transform(spec, p)) == p
+
+
+def _product_cases():
+    syl = [hadamard.sylvester(k) for k in range(7)]  # full split, leaf [1]
+    pal = {q: hadamard.paley(q) for q in (3, 7, 11, 19)}  # no split
+    cases = [pytest.param(h, id=f"sylvester{k}") for k, h in enumerate(syl)]
+    cases += [pytest.param(h, id=f"paley{q}") for q, h in pal.items()]
+    for k, q in ((1, 7), (2, 3), (2, 11)):  # k stages over a Paley leaf
+        rows = kronecker_rows(syl[k].matrix.entries, pal[q].matrix.entries)
+        cases.append(pytest.param(hadamard.HadamardMatrix(intlat.IntMatrix(rows)), id=f"sylvester{k}xpaley{q}"))
+    leaf = [list(r) for r in syl[2].matrix.entries]
+    leaf[1], leaf[2] = leaf[2], leaf[1]  # sylvester(4) with its rows permuted: two stages, leaf of order 4
+    rows = kronecker_rows(syl[2].matrix.entries, leaf)
+    cases.append(pytest.param(hadamard.HadamardMatrix(intlat.IntMatrix(rows)), id="sylvester4_permuted"))
+    rows = [[-v for v in r] for r in syl[3].matrix.entries]  # full split, leaf [-1]
+    cases.append(pytest.param(hadamard.HadamardMatrix(intlat.IntMatrix(rows)), id="sylvester3_negated"))
+    return cases
+
+
+@pytest.mark.parametrize("h", _product_cases())
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32), span=st.sampled_from([1, 60, 10**30]))
+def test_hadamard_columns_match_mat_vec(h, seed, span):
+    """The butterfly and leaf product give H.x of every point of blocks of
+    every size around ``xform.BLOCK``, including the empty block."""
+    rng = random.Random(seed)
+    n = h.order
+    for size in (0, 1, 255, 256, 257):
+        pts = [tuple(rng.randint(-span, span) for _ in range(n)) for _ in range(size)]
+        cols = [tuple(p[j] for p in pts) for j in range(n)]
+        expected = [h.matrix.mat_vec(p) for p in pts]
+        out = xform.hadamard_columns(h, cols)
+        assert len(out) == n and all(len(col) == size for col in out)
+        assert list(zip(*out)) == expected
+
+
+@functools.lru_cache(maxsize=None)
+def table_leaders(d):
+    return analyzer.coset_table(built_spec(d).code).leaders
+
+
+@HYPOTHESIS
+@given(st.data())
+def test_involution_is_leader_formula_in_fractions(data):
+    """Each image is (H.p - H.s)/d + s, worked out in Fractions, with s the
+    one coset-table leader whose difference from p lies in the code."""
+    for d in (2, 4):
+        spec = built_spec(d)
+        n = d * d
+        coords = st.integers(-(10**40), 10**3) | st.integers(-(2**70), -(2**64))
+        pts = data.draw(st.lists(st.lists(coords, min_size=n, max_size=n).map(tuple), min_size=1, max_size=4))
+        images = [q for cols in xform.column_blocks(pts, n) for q in zip(*xform.discrete_columns(spec, cols))]
+        assert len(images) == len(pts)
+        for p, image in zip(pts, images):
+            [s] = [s for s in table_leaders(d) if intlat.contains(spec.code, tuple(a - b for a, b in zip(p, s)))]
+            hp, hs = spec.h.matrix.mat_vec(p), spec.h.matrix.mat_vec(s)
+            assert image == tuple(Fraction(a - b, d) + c for a, b, c in zip(hp, hs, s))
 
 
 def sphere_images(m, radius, center=None):

@@ -8,7 +8,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import intlat, metric
-from .errors import BoundViolationError, BudgetExhaustedError, CapExceededError, InconclusiveError
+from .errors import (
+    BoundViolationError,
+    BudgetExhaustedError,
+    CapExceededError,
+    InconclusiveError,
+    LatticeError,
+)
 from .intlat import CodeParams, IntMatrix, Lattice
 
 #: weight ceiling for the automatic minimum-distance search
@@ -203,7 +209,83 @@ def coset_table(lat: Lattice, cap: int = DEFAULT_COSET_CAP) -> CosetTable:
 
 
 def covering_radius(lat: Lattice, cap: int = DEFAULT_COSET_CAP) -> int:
-    return coset_table(lat, cap=cap).rho
+    """The least ρ whose Lee ball meets every coset of the lattice.
+
+    A breadth-first sweep of G = Z^n/L (``intlat.coset_group``), one
+    whole weight layer per step: the cosets within weight w + 1 are those
+    within weight w, moved by every ±σ(e_j).  The set is one int used as
+    a V-bit set, V the volume, indexed in mixed radix with the largest
+    d_i as the most significant digit.  Moving along that digit is a
+    plain rotation of all V bits.  Moving by t along any other digit is a
+    rotation inside each block of d_i digits, done as one masked rotation
+    per set bit 2^b of t, so at most one mask per (digit, b) exists.
+    """
+    volume = lat.volume
+    if volume > cap:
+        raise CapExceededError(f"volume {volume} exceeds the coset cap {cap}")
+    if volume == 1:
+        return 0
+    divisors, images = intlat.coset_group(lat)
+    order = sorted(range(len(divisors)), key=lambda i: -divisors[i])
+    radix = [divisors[i] for i in order]
+    strides = []
+    stride = volume
+    for d in radix:
+        stride //= d
+        strides.append(stride)
+    full = (1 << volume) - 1
+    moves = set()
+    for image in images:
+        g = tuple(image[i] for i in order)
+        if any(g):
+            moves.add(g)
+            moves.add(tuple(-t % d for t, d in zip(g, radix)))
+    masks = {}
+
+    def mask(k, s):
+        # the positions whose digit k is below d_k - s, a run of
+        # (d_k - s)·stride bits repeated every d_k·stride bits
+        if (k, s) not in masks:
+            width = radix[k] * strides[k]
+            m = (1 << (radix[k] - s) * strides[k]) - 1
+            while width < volume:
+                m |= m << width
+                width <<= 1
+            masks[k, s] = m & full
+        return masks[k, s]
+
+    steps = []  # per move: (mask or None, up shift, down shift) per rotation
+    for g in sorted(moves):
+        ops = []
+        if g[0]:
+            up = g[0] * strides[0]
+            ops.append((None, up, volume - up))
+        for k in range(1, len(g)):
+            t, s = g[k], 1
+            while t:
+                if t & 1:
+                    ops.append((mask(k, s), s * strides[k], (radix[k] - s) * strides[k]))
+                t >>= 1
+                s <<= 1
+        steps.append(ops)
+    reached = 1
+    rho = 0
+    while reached != full:
+        grown = reached
+        for ops in steps:
+            x = reached
+            for m, up, down in ops:
+                if m is None:
+                    x = ((x << up) & full) | (x >> down)
+                else:
+                    low = x & m
+                    x = (low << up) | ((x ^ low) >> down)
+            grown |= x
+        if grown == reached:  # cannot happen while σ maps onto G
+            raise LatticeError(f"coset sweep stalled at weight {rho} short of {volume} cosets")
+        reached = grown
+        rho += 1
+    return rho
 
 
 def density_decimal(value: Fraction, places: int = 6) -> str:

@@ -26,8 +26,8 @@ EXIT_INCONCLUSIVE = 4
 #: entries, so an unchecked size flag could exhaust memory
 MAX_LENGTH = 256
 
-#: largest ``analyze --coset-cap``; a coset table costs about 96 B a coset
-#: at n = 4, so this bounds it near 1 GB
+#: largest ``analyze --coset-cap``; the covering radius costs about one bit
+#: a coset plus at most log2 of the volume masks of that size
 MAX_COSET_CAP = 10**7
 
 

@@ -131,12 +131,14 @@ def _pivot_column(m: list, j: int, rows) -> int:
 
 
 def _hnf_rows(rows) -> tuple:
-    """Lower-triangular row HNF of a square stack of rows, and the
-    determinant (+1 or -1) of the row operations that reach it.
+    """Lower-triangular row HNF of a stack of n rows, and the determinant
+    (+1 or -1) of the row operations that reach it.
 
-    The HNF has a positive diagonal and entries below each diagonal
-    reduced into ``[0, diag)``.  Row operations only, so the generated
-    lattice is unchanged.  Raises SingularMatrixError on a singular stack.
+    The HNF is taken of the first n columns: it has a positive diagonal
+    and entries below each diagonal reduced into ``[0, diag)``.  Columns
+    after the n-th ride along with the row operations.  Row operations
+    only, so the generated lattice is unchanged.  Raises
+    SingularMatrixError when the square part is singular.
     """
     m = [list(r) for r in rows]
     n = len(m)
@@ -173,22 +175,45 @@ def hnf(m: IntMatrix) -> IntMatrix:
     return IntMatrix(_hnf_rows(m.entries)[0])
 
 
+def _diagonalize(a) -> tuple:
+    """Row HNFs of the lower-triangular square stack ``a`` and of its
+    transpose, alternated until it is diagonal (Kannan & Bachem 1979).
+
+    A pass on the transpose is a column operation on ``a``; each such
+    pass extends its rows by the columns of the column transform so far,
+    so the final stack is D = U·a·Q with U and Q unimodular.  Returns D's
+    diagonal and the rows of Q's transpose, or None for Q when ``a`` is
+    already diagonal (then Q is the identity).
+    """
+    n = len(a)
+    qt = None
+    transposed = False
+    while any(a[i][k] for i in range(n) for k in range(i)):
+        rows = zip(*a)
+        if transposed:
+            a = _hnf_rows(rows)[0]
+        else:
+            if qt is None:
+                qt = [[int(i == j) for j in range(n)] for i in range(n)]
+            out = _hnf_rows([list(r) + q for r, q in zip(rows, qt)])[0]
+            a = [r[:n] for r in out]
+            qt = [r[n:] for r in out]
+        transposed = not transposed
+    return [a[i][i] for i in range(n)], qt
+
+
 def snf(m: IntMatrix) -> list:
     """Elementary divisors s_1 | s_2 | ... | s_n with product |det|.
 
-    Row HNFs of the matrix and of its transpose, alternated until the
-    matrix is diagonal (Kannan & Bachem 1979); gcd/lcm swaps then make
-    the diagonal a divisor chain.
+    The diagonal form that ``coset_group`` reads, from the same
+    alternation; gcd/lcm swaps then make the diagonal a divisor chain.
     """
     if m.rows != m.cols:
         raise DimensionError("snf needs a square matrix")
     n = m.rows
     # The first pass reduces the input itself: that rejects a singular
     # input and makes a diagonal one positive before the diagonality test.
-    a = _hnf_rows(m.entries)[0]
-    while any(a[i][k] for i in range(n) for k in range(i)):
-        a = _hnf_rows(zip(*a))[0]
-    s = [a[i][i] for i in range(n)]
+    s = _diagonalize(_hnf_rows(m.entries)[0])[0]
     for i in range(n):
         for k in range(i + 1, n):
             g = math.gcd(s[i], s[k])
@@ -300,6 +325,26 @@ def canonical_residue(lat: Lattice, x) -> tuple:
             for j in range(i + 1):
                 r[j] -= q * hi[j]
     return tuple(r)
+
+
+def coset_group(lat: Lattice) -> tuple:
+    """Z^n/L as a product of cyclic groups Z/d_1 x ... x Z/d_k.
+
+    The HNF alternates with its transpose until diagonal, D = U·hnf·Q
+    (see ``snf``, which runs the same loop).  Then x is in L exactly when
+    (x·Q)_i = 0 mod d_i for every i, so σ(x) = ((x·Q)_i mod d_i)_i is a
+    homomorphism from Z^n onto the product with kernel L.  Returns the
+    diagonal entries d_i > 1, in the order the alternation leaves them
+    (not a divisor chain), and σ(e_j) for every unit vector e_j: then
+    σ(x) = Σ_j x_j·σ(e_j), digit i taken mod d_i.
+    """
+    n = lat.n
+    diag, qt = _diagonalize(lat.hnf.entries)
+    keep = [i for i in range(n) if diag[i] > 1]
+    divisors = tuple(diag[i] for i in keep)
+    if qt is None:
+        return divisors, [tuple(int(i == j) for i in keep) for j in range(n)]
+    return divisors, [tuple(qt[i][j] % diag[i] for i in keep) for j in range(n)]
 
 
 def period(lat: Lattice):

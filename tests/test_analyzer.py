@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -209,11 +210,12 @@ POOL_CODES = (
 )
 
 
-def test_coset_table_matches_shell_scan_on_pool_codes():
+def rebased_pool_codes():
+    """((family, values), lattice) for each pool code, written in a seeded
+    unimodular basis."""
     rng = random.Random(12)
     for family, values in POOL_CODES:
         lat = cli.FAMILIES[family][1](*values)
-        # the same lattice in a seeded unimodular basis
         rows = [list(r) for r in lat.gen.entries]
         for _ in range(3 * lat.n):
             i, j = rng.sample(range(lat.n), 2)
@@ -222,13 +224,83 @@ def test_coset_table_matches_shell_scan_on_pool_codes():
         rng.shuffle(rows)
         rebased = Lattice(rows, lat.scale)
         assert intlat.same_lattice(rebased, lat)
-        table = analyzer.coset_table(rebased)
-        assert (table.leaders, table.rho) == brute_coset_leaders(rebased), (family, values)
+        yield (family, values), rebased
+
+
+def test_coset_table_matches_shell_scan_on_pool_codes():
+    for code, lat in rebased_pool_codes():
+        table = analyzer.coset_table(lat)
+        assert (table.leaders, table.rho) == brute_coset_leaders(lat), code
+
+
+def test_covering_radius_matches_coset_table_on_pool_codes():
+    for code, lat in rebased_pool_codes():
+        assert analyzer.covering_radius(lat) == analyzer.coset_table(lat).rho, code
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(coset_lattices())
+@example(([[1]], 1))
+@example(([[2, 1], [1, 1]], 1))
+@example(([[7]], 1))
+@example(([[2, 0, 0], [0, 3, 0], [0, 0, 5]], 1))
+@example(([[2, 4], [-6, 2]], Fraction(3, 2)))
+@example(([list(r) for r in hadamard.sylvester(3).matrix.entries], 1))
+def test_covering_radius_matches_shell_scan(case):
+    # the last example's group has digits 8, 4, 4, 4, 2, 2, 2: moves along
+    # every digit but the largest are masked rotations
+    lat = Lattice(*case)
+    assert analyzer.covering_radius(lat) == brute_coset_leaders(lat)[1]
+
+
+def cyclic_lattice(n, v, rng):
+    """Z^n/L = Z/v: row j > 0 is a_j·e_0 + e_j, so e_j = -a_j·e_0 mod L."""
+    return Lattice([[v] + [0] * (n - 1)]
+                   + [[rng.randrange(v)] + [int(i == j) for j in range(1, n)] for i in range(1, n)])
+
+
+def two_digit_lattice(n, v, rng):
+    """Z^n/L = Z/v x Z/v: row j > 1 is a_j·e_0 + b_j·e_1 + e_j."""
+    return Lattice([[v, 0] + [0] * (n - 2), [0, v] + [0] * (n - 2)]
+                   + [[rng.randrange(v), rng.randrange(v)] + [int(i == j) for j in range(2, n)]
+                      for i in range(2, n)])
 
 
 class TestCoveringRadius:
     def test_zn(self):
         assert analyzer.covering_radius(Lattice(IntMatrix.identity(4))) == 0
+
+    def test_volume_one_needs_no_group(self, monkeypatch):
+        def refuse(lat):
+            raise AssertionError("coset_group called for a single coset")
+
+        monkeypatch.setattr(intlat, "coset_group", refuse)
+        assert analyzer.covering_radius(Lattice(IntMatrix.identity(256))) == 0
+
+    def test_no_recursion_at_n_1200(self):
+        n = 1200
+        lat = Lattice([[2 if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)])
+        assert analyzer.covering_radius(lat) == 1
+
+    def test_cap(self):
+        with pytest.raises(CapExceededError):
+            analyzer.covering_radius(constructions.gn(6), cap=10)
+
+    @pytest.mark.parametrize("make, n, v", [(cyclic_lattice, 64, 10**6), (two_digit_lattice, 32, 1000)])
+    def test_memory_at_a_million_cosets(self, make, n, v):
+        # about one bit per coset plus one mask per (digit, power of two)
+        lat = make(n, v, random.Random(n))
+        assert lat.volume == 10**6
+        tracemalloc.start()
+        try:
+            rho = analyzer.covering_radius(lat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 10**6
+        # the ball of radius rho meets every coset, so it holds at least
+        # one point per coset
+        assert metric.lee_sphere_size(n, rho) >= lat.volume
 
     def test_even_sum(self):
         assert analyzer.covering_radius(EVEN_SUM_Z4) == 1

@@ -402,6 +402,41 @@ def test_snf_rejects_singular(rows):
         intlat.snf(IntMatrix(rows))
 
 
+def syndrome(group, x):
+    """σ(x) from ``coset_group``'s images of the unit vectors."""
+    divisors, images = group
+    return tuple(sum(v * g[i] for v, g in zip(x, images)) % d for i, d in enumerate(divisors))
+
+
+@HYPOTHESIS
+@given(
+    st.one_of(nonsingular_rows(max_n=5), diagonal_rows()),
+    st.sampled_from([1, 1, 2, 3]),
+    st.lists(st.integers(-6, 6), min_size=5, max_size=5),
+    st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+    st.lists(st.integers(-9, 9), min_size=5, max_size=5),
+)
+@example([[1]], 1, [0] * 5, [0] * 5, [1] * 5)
+@example([[2, 1], [1, 1]], 1, [1] * 5, [1] * 5, [0] * 5)
+@example([[3, 0, 0], [0, 4, 0], [0, 0, 6]], 1, [1, -1, 2, 0, 0], [0, 2, 3, 0, 0], [1] * 5)
+def test_coset_group_is_a_syndrome_map(rows, k, coeffs, offset, other):
+    # σ is additive, its kernel is the lattice, and its image has
+    # exactly volume elements
+    lat = Lattice(rows, k)
+    group = intlat.coset_group(lat)
+    divisors, images = group
+    assert math.prod(divisors) == lat.volume
+    assert all(d > 1 for d in divisors) and len(images) == lat.n
+    n = lat.n
+    basis = lat.int_matrix.entries
+    member = tuple(sum(c * r[j] for c, r in zip(coeffs, basis)) for j in range(n))
+    y = tuple(other[:n])
+    for x in (member, tuple(a + b for a, b in zip(member, offset)), y):
+        assert (not any(syndrome(group, x))) == intlat.contains(lat, x)
+        total = syndrome(group, tuple(a + b for a, b in zip(x, y)))
+        assert total == tuple((a + b) % d for a, b, d in zip(syndrome(group, x), syndrome(group, y), divisors))
+
+
 @HYPOTHESIS
 @given(
     nonsingular_rows(),

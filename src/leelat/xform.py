@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 
 from . import analyzer, intlat, metric
 from .errors import BoundViolationError, DimensionError, IntegralityError
@@ -134,81 +134,72 @@ def _carry_walk(cols, radius: int, origin: tuple):
     yield from walk(0, radius, origin)
 
 
-#: most points of the tail ball a sphere walk stores
-TAIL = 4 * BLOCK
-#: most sphere points a walk keeps in buffered head points before it flushes them all
-HELD = 16 * BLOCK
+def _sphere_box(m: IntMatrix, radius: int, center, d: int, offsets) -> tuple:
+    """The per-row extremes ``(lo, hi)`` of floor(m.p / d) + offsets[m.p mod d]
+    over every point p of the Lee sphere of the given radius about
+    ``center`` (default the origin), and the number of sphere points.
 
-
-def _sphere_image_blocks(m: IntMatrix, radius: int, center=None):
-    """Yield m.p for every point p of the Lee sphere of the given radius
-    about ``center`` (default the origin), each point exactly once, in
-    blocks of image columns: row i of a block holds (m.p)_i of its points.
-
-    The coordinates split into a head and a tail of the last t, the most
-    whose ball of the given radius has at most ``TAIL`` points.  Every
-    sphere point is a head point of weight w plus a tail point of weight at
-    most radius - w, so its image is m.center + m.head + m.tail.  The tail
-    ball's images are stored once, by weight, so the ball of radius r is the
-    prefix ``[:ends[r]]`` of that table.  Head points are streamed, buffered
-    by weight, and a buffer goes out as one block once it stands for
-    ``BLOCK`` sphere points; all go out once together they stand for
-    ``HELD``, and at the end.  No point set is stored.
+    The coordinates split into a head of n//2 and the tail.  A sphere point
+    is a head point of weight w plus a tail point of weight at most
+    radius - w, so m.p = A + B with A = m.center + m.head and B = m.tail.
+    Each half's ball is walked once, ``BLOCK`` points at a time, and reduced
+    to a summary: per weight and residue class y mod d, the per-row min and
+    max of the images y.  Within a head class a and a tail class s, A + B
+    lies in the class (a + s) mod d, and its per-row extremes are the sums of
+    the two halves' extremes.  Floor division is monotone, so the extremes
+    of floor(m.p / d) + offset are those of the sum, divided and offset once
+    per class.  A summary has at most one entry per weight and class; no
+    point set is stored.
     """
     n = m.cols
     center = metric.sphere_center(n, radius, center)
     cols = [m.column(j) for j in range(n)]
-    t = 0
-    while t < n and metric.lee_sphere_size(t + 1, radius) <= TAIL:
-        t += 1
-    shells = [[] for _ in range(radius + 1)]
-    for w, image in _carry_walk(cols[n - t:], radius, (0,) * m.rows):
-        shells[w].append(image)
-    ends = list(accumulate(map(len, shells)))
-    tail = list(zip(*chain.from_iterable(shells)))  # row i: (m.q)_i, q by weight
-    del shells
 
-    def block(heads):
-        # the sphere points of head points (weight, images), as image columns
-        out = []
-        for i, tail_row in enumerate(tail):
-            row = []
-            for w, images in heads:
-                part = tail_row[: ends[radius - w]]
-                row += [p[i] + q for p in images for q in part]
-            out.append(row)
-        return out
+    def widen(table, key, lo, hi):
+        # table[key] becomes the per-row extremes of its old value and the rows lo, hi
+        old = table.get(key)
+        if old is None:
+            table[key] = tuple(lo), tuple(hi)
+        else:
+            table[key] = tuple(map(min, old[0], lo)), tuple(map(max, old[1], hi))
 
-    buffers = [[] for _ in range(radius + 1)]  # head images by weight
+    def summary(cols, origin):
+        # the number of points of each weight, and per weight {class: (lo, hi)}
+        counts, shells = [0] * (radius + 1), [{} for _ in range(radius + 1)]
+        walk = _carry_walk(cols, radius, origin)
+        while chunk := list(islice(walk, BLOCK)):
+            weights, images = zip(*chunk)
+            groups = {}  # (w, *class) -> images
+            for key, y in zip(zip(weights, *[[v % d for v in row] for row in zip(*images)]), images):
+                groups.setdefault(key, []).append(y)
+            for key, ys in groups.items():
+                counts[key[0]] += len(ys)
+                ys = list(zip(*ys))
+                widen(shells[key[0]], key[1:], map(min, ys), map(max, ys))
+        return counts, shells
 
-    def flush():
-        # every buffer, packed into blocks of at least BLOCK points where there are that many
-        heads, size = [], 0
-        for w, buf in enumerate(buffers):
-            if buf:
-                heads.append((w, buf))
-                size += len(buf) * ends[radius - w]
-                buffers[w] = []
-                if size >= BLOCK:
-                    yield block(heads)
-                    heads, size = [], 0
-        if heads:
-            yield block(heads)
+    k = n // 2
+    head_counts, head = summary(cols[:k], m.mat_vec(center))
+    tail_counts, balls = summary(cols[k:], (0,) * m.rows)
+    for r in range(1, radius + 1):  # the tail's shells become balls of radius r
+        for s, (lo, hi) in balls[r - 1].items():
+            widen(balls[r], s, lo, hi)
+    ball_sizes = list(accumulate(tail_counts))
 
-    held = 0  # sphere points the buffered head points stand for
-    for w, image in _carry_walk(cols[: n - t], radius, m.mat_vec(center)):
-        buf = buffers[w]
-        buf.append(image)
-        size = ends[radius - w]
-        held += size
-        if len(buf) * size >= BLOCK:
-            yield block([(w, buf)])
-            held -= len(buf) * size
-            buffers[w] = []
-        elif held >= HELD:
-            yield from flush()
-            held = 0
-    yield from flush()
+    moduli = (d,) * m.rows
+    sums = {}  # class of m.p -> (lo, hi) of m.p
+    for w, shell in enumerate(head):
+        ball = balls[radius - w]
+        for a, (head_lo, head_hi) in shell.items():
+            for s, (tail_lo, tail_hi) in ball.items():
+                t = tuple(map(operator.mod, map(operator.add, a, s), moduli))
+                widen(sums, t, map(operator.add, head_lo, tail_lo), map(operator.add, head_hi, tail_hi))
+    lo, hi = [], []
+    for t, (t_lo, t_hi) in sums.items():
+        lo.append([v // d + o for v, o in zip(t_lo, offsets[t])])
+        hi.append([v // d + o for v, o in zip(t_hi, offsets[t])])
+    count = sum(c * ball_sizes[radius - w] for w, c in enumerate(head_counts))
+    return list(map(min, zip(*lo))), list(map(max, zip(*hi))), count
 
 
 @dataclass(frozen=True)
@@ -225,17 +216,16 @@ def continuous_box(h: HadamardMatrix, radius: int) -> ContinuousBoxReport:
     per-axis bound |(H.x)_j| <= radius (box side 2*radius/sqrt(n)).
 
     The bound itself follows from the entries being +-1 and the triangle
-    inequality; here it is measured on the full sphere and the extreme
-    point radius*e_1 is confirmed to attain it.  A sphere of more than
-    ``metric.DEFAULT_CAP`` points raises ``CapExceededError``.
+    inequality; here it is measured exactly over the full sphere, from the
+    two half balls' summaries (``_sphere_box`` with d = 1, one class), and
+    the extreme point radius*e_1 is confirmed to attain it.  A sphere of
+    more than ``metric.DEFAULT_CAP`` points raises ``CapExceededError``.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
     n = h.order
-    max_abs = count = 0
-    for cols in _sphere_image_blocks(h.matrix, radius):
-        max_abs = max(max_abs, max(map(max, cols)), -min(map(min, cols)))
-        count += len(cols[0])
+    lo, hi, count = _sphere_box(h.matrix, radius, None, 1, {(0,) * n: (0,) * n})
+    max_abs = max(max(hi), -min(lo))
     if max_abs > radius:
         raise BoundViolationError(
             f"|H.x| reached {max_abs} > {radius} on a sphere point"
@@ -377,22 +367,17 @@ class DiscreteBoxReport:
 
 
 def discrete_box(spec: TransformSpec, radius: int, center=None) -> DiscreteBoxReport:
-    """Map a full Lee sphere through the involution and measure the box it
-    lands in, checking the guaranteed per-axis extent.
+    """Measure the box a full Lee sphere lands in under the involution,
+    checking the guaranteed per-axis extent.
 
-    Spheres of more than ``metric.DEFAULT_CAP`` points raise
-    ``CapExceededError``."""
+    The box is computed exactly, not sampled: ``_sphere_box`` summarises
+    the two half balls by weight and residue class and reads each class's
+    stored offset once, so no sphere point is mapped on its own.  Spheres
+    of more than ``metric.DEFAULT_CAP`` points raise ``CapExceededError``."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    blocks = _sphere_image_blocks(spec.h.matrix, radius, center)
-    images = (_involution_columns(spec, hp) for hp in blocks)
-    image = next(images)
-    lo, hi = list(map(min, image)), list(map(max, image))
-    count = len(image[0])
-    for image in images:
-        lo = list(map(min, lo, map(min, image)))
-        hi = list(map(max, hi, map(max, image)))
-        count += len(image[0])
+    offsets = {s: offset for s, (_, offset) in spec.cosets.items()}
+    lo, hi, count = _sphere_box(spec.h.matrix, radius, center, spec.d, offsets)
     extents = tuple(h - l + 1 for l, h in zip(lo, hi))
     rho = spec.rho
     bound = 2 * (-((radius + rho) // -spec.d)) + 2 * rho + 1

@@ -1,10 +1,10 @@
 import contextlib
 import functools
 import io
+import itertools
 import math
 import random
 import tracemalloc
-from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -321,13 +321,6 @@ def test_involution_is_leader_formula_in_fractions(data):
             assert image == tuple(Fraction(a - b, d) + c for a, b, c in zip(hp, hs, s))
 
 
-def sphere_images(m, radius, center=None):
-    """The images the sphere walk emits, flattened out of its blocks."""
-    blocks = list(xform._sphere_image_blocks(m, radius, center))
-    assert all(len(b) == m.rows and len(set(map(len, b))) == 1 for b in blocks)
-    return [q for b in blocks for q in zip(*b)]
-
-
 @st.composite
 def sphere_cases(draw):
     n, rows = draw(st.integers(1, 6)), draw(st.integers(1, 5))
@@ -336,36 +329,46 @@ def sphere_cases(draw):
     return entries, draw(st.integers(0, 5)), center
 
 
-def test_sphere_walk_examples_reach_both_tail_extremes():
-    assert metric.lee_sphere_size(3, 5) <= xform.TAIL  # every coordinate in the tail
-    assert metric.lee_sphere_size(1, 512) > xform.TAIL  # no coordinate in the tail
+def class_offsets(rows, d, seed):
+    """An arbitrary offset vector for each residue class of Z^rows mod d."""
+    rng = random.Random(seed)
+    return {s: tuple(rng.randint(-9, 9) for _ in range(rows)) for s in itertools.product(range(d), repeat=rows)}
 
 
 @HYPOTHESIS
-@example(([[1, -2, 3], [4, 0, -1]], 5, None))
-@example(([[1, -2, 3], [4, 0, -1]], 5, (7, -3, 2)))
-@example(([[3], [-2]], 512, None))
-@example(([[3], [-2]], 600, (11,)))
-@given(sphere_cases())
-def test_sphere_blocks_match_enumeration(case):
-    """Head and tail walks together give m.p for each sphere point once."""
+@example(([[1, -2, 3], [4, 0, -1]], 5, None), 4, 0)
+@example(([[1, -2, 3], [4, 0, -1]], 5, (7, -3, 2)), 1, 1)
+@example(([[3], [-2]], 512, None), 2, 2)
+@example(([[3], [-2]], 600, (11,)), 3, 3)
+@given(sphere_cases(), st.sampled_from([1, 2, 3, 4]), st.integers(0, 2**32))
+def test_sphere_box_matches_brute_extremes(case, d, seed):
+    """The two half-ball summaries give the per-row extremes of
+    floor(m.p / d) + offset of the class of m.p over every sphere point, and
+    the sphere's point count."""
     entries, radius, center = case
     m = intlat.IntMatrix(entries)
+    offsets = class_offsets(m.rows, d, seed)
     sphere = metric.enumerate_sphere(m.cols, radius, center=center)
-    assert Counter(sphere_images(m, radius, center)) == Counter(m.mat_vec(p) for p in sphere)
+    images = []
+    for p in sphere:
+        y = m.mat_vec(p)
+        images.append(tuple(v // d + o for v, o in zip(y, offsets[tuple(v % d for v in y)])))
+    lo, hi = list(map(min, zip(*images))), list(map(max, zip(*images)))
+    assert xform._sphere_box(m, radius, center, d, offsets) == (lo, hi, len(sphere))
 
 
 def test_sphere_walk_memory_is_bounded():
-    """The walk holds a bounded tail table and buffer, never the sphere:
-    the 50,049-point sweep in Z^16 peaks under 1 MB."""
-    h = hadamard.sylvester(4)
-    tracemalloc.start()
-    try:
-        xform.continuous_box(h, 4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10**6
+    """The sweeps hold one chunk of a half ball and its summaries, never the
+    sphere or a half ball: each 50,049-point sweep in Z^16 peaks under 1 MB."""
+    h, spec = hadamard.sylvester(4), built_spec(4)
+    for sweep in (lambda: xform.continuous_box(h, 4), lambda: xform.discrete_box(spec, 4)):
+        tracemalloc.start()
+        try:
+            sweep()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
 
 @HYPOTHESIS
@@ -377,9 +380,6 @@ def test_streamed_sweeps_match_brute_sphere(data):
         radius = data.draw(st.integers(0, max_radius))
         center = data.draw(points(n, 40))
         sphere = metric.enumerate_sphere(n, radius, center=center)
-        walked = Counter(sphere_images(h.matrix, radius, center))
-        assert walked == Counter(h.matrix.mat_vec(p) for p in sphere)
-
         images = [leader_image(spec, p) for p in sphere]
         extents = tuple(max(col) - min(col) + 1 for col in zip(*images))
         bound = 2 * math.ceil((radius + spec.rho) / d) + 2 * spec.rho + 1

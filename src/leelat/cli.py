@@ -235,7 +235,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    # the distance search and the coset walk recurse once per coordinate
+    # the distance search recurses once per coordinate
     lat = _load_lattice(args.matrix, max_n=MAX_LENGTH)
     doc = analyzer.report(lat, min_dist_cap=args.min_dist_cap, coset_cap=args.coset_cap)
     print(json.dumps(doc, indent=2))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from itertools import islice
 
 from . import analyzer, intlat, metric
 from .errors import BoundViolationError, DimensionError, IntegralityError
@@ -106,99 +106,70 @@ def t_apply(h: HadamardMatrix, x) -> RadicalVector:
     return RadicalVector(tuple(c[0] for c in hadamard_columns(h, [(v,) for v in x])), h.order)
 
 
-def _carry_walk(cols, radius: int, origin: tuple):
-    """Yield (w, origin + sum_j x_j cols[j]) for every x of Manhattan weight
-    w <= radius in Z^len(cols), each once, the origin first.
-
-    The walk fixes the nonzero coordinates of x in increasing position;
-    fixing coordinate j to v adds v times cols[j] to the image carried down,
-    so a point costs one vector addition instead of a matrix-vector product.
-    """
-    n = len(cols)
-
-    def walk(start, rem, image):
-        # every point with its first nonzero coordinate at or after ``start``
-        for j in range(start, n):
-            col = cols[j]
-            up = down = image
-            for left in range(rem - 1, -1, -1):
-                up = tuple(map(operator.add, up, col))
-                down = tuple(map(operator.sub, down, col))
-                yield radius - left, up
-                yield radius - left, down
-                if left and j + 1 < n:
-                    yield from walk(j + 1, left, up)
-                    yield from walk(j + 1, left, down)
-
-    yield 0, origin
-    yield from walk(0, radius, origin)
-
-
 def _sphere_box(m: IntMatrix, radius: int, center, d: int, offsets) -> tuple:
     """The per-row extremes ``(lo, hi)`` of floor(m.p / d) + offsets[m.p mod d]
     over every point p of the Lee sphere of the given radius about
     ``center`` (default the origin), and the number of sphere points.
 
-    The coordinates split into a head of n//2 and the tail.  A sphere point
-    is a head point of weight w plus a tail point of weight at most
-    radius - w, so m.p = A + B with A = m.center + m.head and B = m.tail.
-    Each half's ball is walked once, ``BLOCK`` points at a time, and reduced
-    to a summary: per weight and residue class y mod d, the per-row min and
-    max of the images y.  Within a head class a and a tail class s, A + B
-    lies in the class (a + s) mod d, and its per-row extremes are the sums of
-    the two halves' extremes.  Floor division is monotone, so the extremes
-    of floor(m.p / d) + offset are those of the sum, divided and offset once
-    per class.  A summary has at most one entry per weight and class; no
-    point set is stored.
+    No point is enumerated.  The summary of a set of coordinates is a list
+    of shells, one per weight w <= radius.  A shell maps each residue class
+    y mod d of the images y = m.x of the points x of weight w to their
+    number and ``ext``: the per-row min of y followed by the per-row min of
+    -y, so one elementwise min widens both extremes.  A coordinate's shell
+    of weight w holds the points +-w, with images +-w times its column; the
+    centre's summary is one weight-0 entry, m.center.  ``pair`` joins
+    entries of disjoint coordinates: counts multiply, classes add mod d and
+    extremes add.  The summaries are joined two at a time, weights adding,
+    until a head and a tail remain.  A sphere point is a head point of
+    weight w plus a tail point of weight at most radius - w, so the last
+    ``pair`` takes each head shell with the tail's ball of radius - w.
+    Floor division is monotone, so the extremes of floor(m.p / d) + offset
+    are those of m.p, divided and offset once per class.
     """
-    n = m.cols
-    center = metric.sphere_center(n, radius, center)
-    cols = [m.column(j) for j in range(n)]
+    center = metric.sphere_center(m.cols, radius, center)
+    rows = m.rows
+    unit = {(0,) * rows: (1, (0,) * 2 * rows)}  # weight 0; pairing a shell with it adds the shell as it is
 
-    def widen(table, key, lo, hi):
-        # table[key] becomes the per-row extremes of its old value and the rows lo, hi
-        old = table.get(key)
-        if old is None:
-            table[key] = tuple(lo), tuple(hi)
-        else:
-            table[key] = tuple(map(min, old[0], lo)), tuple(map(max, old[1], hi))
+    def pair(shell_pairs, out):
+        # add to out the sum of every entry of xs and every entry of ys, for each (xs, ys)
+        for xs, ys in shell_pairs:
+            for count, a in xs.values():
+                for c, b in ys.values():
+                    ext = [u + v for u, v in zip(a, b)]
+                    t = tuple([v % d for v in ext[:rows]])  # every point of an entry is in the class of its min
+                    old = out.get(t)
+                    if old is None:
+                        out[t] = count * c, tuple(ext)
+                    else:
+                        out[t] = old[0] + count * c, tuple([u if u < v else v for u, v in zip(old[1], ext)])
+        return out
 
-    def summary(cols, origin):
-        # the number of points of each weight, and per weight {class: (lo, hi)}
-        counts, shells = [0] * (radius + 1), [{} for _ in range(radius + 1)]
-        walk = _carry_walk(cols, radius, origin)
-        while chunk := list(islice(walk, BLOCK)):
-            weights, images = zip(*chunk)
-            groups = {}  # (w, *class) -> images
-            for key, y in zip(zip(weights, *[[v % d for v in row] for row in zip(*images)]), images):
-                groups.setdefault(key, []).append(y)
-            for key, ys in groups.items():
-                counts[key[0]] += len(ys)
-                ys = list(zip(*ys))
-                widen(shells[key[0]], key[1:], map(min, ys), map(max, ys))
-        return counts, shells
-
-    k = n // 2
-    head_counts, head = summary(cols[:k], m.mat_vec(center))
-    tail_counts, balls = summary(cols[k:], (0,) * m.rows)
-    for r in range(1, radius + 1):  # the tail's shells become balls of radius r
-        for s, (lo, hi) in balls[r - 1].items():
-            widen(balls[r], s, lo, hi)
-    ball_sizes = list(accumulate(tail_counts))
-
-    moduli = (d,) * m.rows
-    sums = {}  # class of m.p -> (lo, hi) of m.p
-    for w, shell in enumerate(head):
-        ball = balls[radius - w]
-        for a, (head_lo, head_hi) in shell.items():
-            for s, (tail_lo, tail_hi) in ball.items():
-                t = tuple(map(operator.mod, map(operator.add, a, s), moduli))
-                widen(sums, t, map(operator.add, head_lo, tail_lo), map(operator.add, head_hi, tail_hi))
+    y = m.mat_vec(center)
+    parts = [[{tuple([v % d for v in y]): (1, y + tuple([-v for v in y]))}] + [{}] * radius]
+    for col in zip(*m.entries):
+        shells = [unit]
+        for w in range(1, radius + 1):
+            up = tuple([w * v for v in col])
+            down = tuple([-v for v in up])
+            s, t = tuple([v % d for v in up]), tuple([v % d for v in down])
+            if s == t:  # one class for both points, as when d <= 2 or the column is 0
+                shells.append({s: (2, tuple([-abs(v) for v in up]) * 2)})
+            else:
+                shells.append({s: (1, up + down), t: (1, down + up)})
+        parts.append(shells)
+    while len(parts) > 2:
+        xs, ys = parts.pop(0), parts.pop(0)
+        parts.append([pair(zip(xs[: w + 1], ys[w::-1]), {}) for w in range(radius + 1)])
+    head, tail = parts
+    balls = [tail[0]]
+    for shell in tail[1:]:
+        balls.append(pair([(shell, unit)], dict(balls[-1])))
+    sums = pair(zip(head, reversed(balls)), {})
     lo, hi = [], []
-    for t, (t_lo, t_hi) in sums.items():
-        lo.append([v // d + o for v, o in zip(t_lo, offsets[t])])
-        hi.append([v // d + o for v, o in zip(t_hi, offsets[t])])
-    count = sum(c * ball_sizes[radius - w] for w, c in enumerate(head_counts))
+    for t, (_, ext) in sums.items():
+        lo.append([v // d + o for v, o in zip(ext, offsets[t])])
+        hi.append([-v // d + o for v, o in zip(ext[rows:], offsets[t])])
+    count = sum(c for c, _ in sums.values())
     return list(map(min, zip(*lo))), list(map(max, zip(*hi))), count
 
 
@@ -216,8 +187,8 @@ def continuous_box(h: HadamardMatrix, radius: int) -> ContinuousBoxReport:
     per-axis bound |(H.x)_j| <= radius (box side 2*radius/sqrt(n)).
 
     The bound itself follows from the entries being +-1 and the triangle
-    inequality; here it is measured exactly over the full sphere, from the
-    two half balls' summaries (``_sphere_box`` with d = 1, one class), and
+    inequality; here it is measured exactly over the full sphere, from
+    joined per-coordinate summaries (``_sphere_box`` with d = 1, one class), and
     the extreme point radius*e_1 is confirmed to attain it.  A sphere of
     more than ``metric.DEFAULT_CAP`` points raises ``CapExceededError``.
     """
@@ -285,7 +256,7 @@ class TransformSpec:
 
     The code is the kernel of x -> H.x mod d, so the syndrome H.p mod d
     names the coset of p exactly.  ``cosets`` maps each syndrome to the
-    coset's minimum-weight leader s and its offset s - floor(H.s / d);
+    offset s - floor(H.s / d) of the coset's minimum-weight leader s;
     ``rho``, the largest leader weight, is the code's covering radius.
     """
 
@@ -307,35 +278,29 @@ class TransformSpec:
         cosets = {}
         for cols in column_blocks(table.leaders, h.order):
             for s, hs in zip(zip(*cols), zip(*hadamard_columns(h, cols))):
-                cosets[tuple(v % d for v in hs)] = (s, tuple(c - v // d for c, v in zip(s, hs)))
+                cosets[tuple(v % d for v in hs)] = tuple(c - v // d for c, v in zip(s, hs))
         if len(cosets) != table.size:
             raise ArithmeticError("two coset leaders share a syndrome")
         return cls(h=h, d=d, code=code, rho=table.rho, cosets=cosets)
 
 
-def _involution_columns(spec: TransformSpec, hp) -> list:
-    """The involution's image of every point p of a block, given the columns
-    of H.p.  With s the leader of p's coset the image is (H.p - H.s)/d + s.
-    Write H.p = d*q + r with 0 <= r < d entrywise: r is the syndrome, and
-    H.s leaves the same r, so the image is q + (s - floor(H.s / d)), the
-    syndrome's stored offset.  No divisibility test is needed: the residues
-    cancel, so the division is exact by construction."""
-    d = spec.d
-    syndromes = zip(*[[v % d for v in col] for col in hp])
-    found = list(map(spec.cosets.__getitem__, syndromes))
-    if not found:
-        return [[] for _ in hp]
-    offsets = zip(*[o for _, o in found])
-    return [[v // d + c for v, c in zip(col, off)] for col, off in zip(hp, offsets)]
-
-
 def discrete_columns(spec: TransformSpec, cols) -> list:
     """The involution of Z^{d^2} on a block of points held as coordinate
     columns (see ``column_blocks``); column i of the result holds coordinate
-    i of every image."""
+    i of every image.
+
+    With s the leader of p's coset the image is (H.p - H.s)/d + s.  Write
+    H.p = d*q + r with 0 <= r < d entrywise: r is the syndrome, and H.s
+    leaves the same r, so the image is q + (s - floor(H.s / d)), the
+    syndrome's stored offset.  No divisibility test is needed: the residues
+    cancel, so the division is exact by construction."""
     if len(cols) != spec.h.order:
         raise DimensionError("point length disagrees with the transform order")
-    return _involution_columns(spec, hadamard_columns(spec.h, cols))
+    d, hp = spec.d, hadamard_columns(spec.h, cols)
+    offsets = list(map(spec.cosets.__getitem__, zip(*[[v % d for v in col] for col in hp])))
+    if not offsets:
+        return [[] for _ in hp]
+    return [[v // d + c for v, c in zip(col, off)] for col, off in zip(hp, zip(*offsets))]
 
 
 def discrete_transform(spec: TransformSpec, p) -> tuple:
@@ -370,14 +335,13 @@ def discrete_box(spec: TransformSpec, radius: int, center=None) -> DiscreteBoxRe
     """Measure the box a full Lee sphere lands in under the involution,
     checking the guaranteed per-axis extent.
 
-    The box is computed exactly, not sampled: ``_sphere_box`` summarises
-    the two half balls by weight and residue class and reads each class's
-    stored offset once, so no sphere point is mapped on its own.  Spheres
+    The box is computed exactly, not sampled: ``_sphere_box`` joins
+    per-coordinate summaries by weight and residue class and reads each
+    class's stored offset once, so no sphere point is mapped.  Spheres
     of more than ``metric.DEFAULT_CAP`` points raise ``CapExceededError``."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    offsets = {s: offset for s, (_, offset) in spec.cosets.items()}
-    lo, hi, count = _sphere_box(spec.h.matrix, radius, center, spec.d, offsets)
+    lo, hi, count = _sphere_box(spec.h.matrix, radius, center, spec.d, spec.cosets)
     extents = tuple(h - l + 1 for l, h in zip(lo, hi))
     rho = spec.rho
     bound = 2 * (-((radius + rho) // -spec.d)) + 2 * rho + 1

@@ -149,7 +149,7 @@ class TestDiscreteTransform:
     def test_leader_decomposition_unique(self):
         spec = TransformSpec.build(2)
         rng = random.Random(52)
-        leaders = [s for s, _ in spec.cosets.values()]
+        leaders = analyzer.coset_table(spec.code).leaders
         for _ in range(50):
             p = tuple(rng.randint(-30, 30) for _ in range(4))
             fits = [
@@ -340,9 +340,10 @@ def class_offsets(rows, d, seed):
 @example(([[1, -2, 3], [4, 0, -1]], 5, (7, -3, 2)), 1, 1)
 @example(([[3], [-2]], 512, None), 2, 2)
 @example(([[3], [-2]], 600, (11,)), 3, 3)
+@example(([[0, 1], [0, -1]], 3, None), 2, 0)  # +w and -w of the zero column: one image, two points
 @given(sphere_cases(), st.sampled_from([1, 2, 3, 4]), st.integers(0, 2**32))
 def test_sphere_box_matches_brute_extremes(case, d, seed):
-    """The two half-ball summaries give the per-row extremes of
+    """The joined per-coordinate summaries give the per-row extremes of
     floor(m.p / d) + offset of the class of m.p over every sphere point, and
     the sphere's point count."""
     entries, radius, center = case
@@ -358,8 +359,8 @@ def test_sphere_box_matches_brute_extremes(case, d, seed):
 
 
 def test_sphere_walk_memory_is_bounded():
-    """The sweeps hold one chunk of a half ball and its summaries, never the
-    sphere or a half ball: each 50,049-point sweep in Z^16 peaks under 1 MB."""
+    """The sweeps hold per-weight summaries by residue class, never a point
+    set: each 50,049-point sweep in Z^16 peaks under 1 MB."""
     h, spec = hadamard.sylvester(4), built_spec(4)
     for sweep in (lambda: xform.continuous_box(h, 4), lambda: xform.discrete_box(spec, 4)):
         tracemalloc.start()

@@ -15,7 +15,7 @@ from .errors import (
     InconclusiveError,
     LatticeError,
 )
-from .intlat import CodeParams, IntMatrix, Lattice
+from .intlat import CodeParams, Lattice
 
 #: weight ceiling for the automatic minimum-distance search
 DEFAULT_HARD_CAP = 64
@@ -149,63 +149,22 @@ def coset_table(lat: Lattice, cap: int = DEFAULT_COSET_CAP) -> CosetTable:
     """Assign each coset its minimum-weight leader.
 
     Shells are walked in increasing weight and lexicographic order inside
-    a shell, x_0 fixed first, so the leader is the lexicographically
-    smallest vector among the minimum-weight members of its coset.  The
-    walk reduces against the HNF of the coordinate-reversed lattice: read
-    back in the original order, its row j is zero before coordinate j.
-    Fixing x_j = v then settles one digit of the coset index, the
-    remainder of v + carry_j mod diag_j, and carries the quotient times
-    row j into later coordinates only.  A leader is built when its coset
-    is first reached, and the walk stops at the last coset.
+    a shell (``metric.weight_shell``), each point keyed by its canonical
+    residue, so the leader is the lexicographically smallest vector among
+    the minimum-weight members of its coset.  The walk stops at the shell
+    where the last coset is first reached; that weight is ``rho``.
     """
     volume = lat.volume
     if volume > cap:
         raise CapExceededError(f"volume {volume} exceeds the coset cap {cap}")
-    n = lat.n
-    rev = intlat.hnf(IntMatrix([r[::-1] for r in lat.int_matrix.entries])).entries
-    u = [r[::-1] for r in reversed(rev)]
-    diag = [u[j][j] for j in range(n)]
-    # nonzero entries of row j after the diagonal; each is reduced below a
-    # later diagonal, so only coordinates whose diagonal is above 1 appear
-    above = [tuple((k, a) for k, a in enumerate(u[j]) if k > j and a) for j in range(n)]
-    filled = bytearray(volume)
-    leaders = []
-    point = [0] * n
-    carry = [0] * n  # what the rows subtracted so far add to each coordinate
-    last = n - 1
-
-    def walk(j, rem, index):
-        # every point that extends x_0..x_{j-1} by weight rem; True once
-        # the table is full
-        d = diag[j]
-        if j == last:
-            c = carry[j]
-            for v in (-rem, rem) if rem else (0,):
-                i = index * d + (v + c) % d
-                if not filled[i]:
-                    filled[i] = 1
-                    point[j] = v
-                    leaders.append(tuple(point))
-                    if len(leaders) == volume:
-                        return True
-            return False
-        row = above[j]
-        for v in range(-rem, rem + 1):
-            q, r = divmod(v + carry[j], d)
-            for k, a in row:
-                carry[k] -= q * a
-            point[j] = v
-            full = walk(j + 1, rem - abs(v), index * d + r)
-            for k, a in row:
-                carry[k] += q * a
-            if full:
-                return True
-        return False
-
+    leaders = {}
     w = 0
-    while not walk(0, w, 0):
+    while True:
+        for x in metric.weight_shell(lat.n, w):
+            leaders.setdefault(intlat.canonical_residue(lat, x), x)
+            if len(leaders) == volume:
+                return CosetTable(leaders=tuple(leaders.values()), rho=w)
         w += 1
-    return CosetTable(leaders=tuple(leaders), rho=w)
 
 
 def covering_radius(lat: Lattice, cap: int = DEFAULT_COSET_CAP) -> int:

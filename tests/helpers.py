@@ -3,15 +3,17 @@
 These deliberately avoid the library's own algorithms: determinants by
 cofactor expansion, Smith divisors from gcds of minors, membership by
 rational Gaussian elimination, and minimum weights by exhaustive search
-over small coordinate boxes.  The coset-leader oracle is the plain shell
-scan: every point keyed by its canonical residue.
+over small coordinate boxes.  The coset-leader oracle grows whole Lee
+shells by unit steps and takes each coset's smallest member by (weight,
+tuple), so neither the library's shell walk order nor its first-hit rule
+decides a leader.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from leelat import intlat, metric
+from leelat import intlat
 
 
 def cofactor_det(rows):
@@ -117,17 +119,24 @@ def lee_code_min_distance(rows, m):
 
 
 def brute_coset_leaders(lat):
-    """(leaders, rho): scan the shells of Z^n in increasing weight and
-    lexicographic order, key each point by its canonical residue and keep
-    the first point of each coset, until every coset has one."""
-    leaders = {}
-    w = 0
+    """(leaders, rho) from the definition, by another route than the
+    shell scan of ``analyzer.coset_table``: shell w + 1 is grown as the
+    set of unit-step neighbours of shell w that have weight w + 1, whole
+    shells are added until every coset is met, each coset's leader is its
+    member smallest by (weight, tuple), and the leaders are listed in that
+    order."""
+    n = lat.n
+    best = {}
+    shell, w = {(0,) * n}, 0
     while True:
-        for x in metric.weight_shell(lat.n, w):
-            leaders.setdefault(intlat.canonical_residue(lat, x), x)
-            if len(leaders) == lat.volume:
-                return tuple(leaders.values()), w
+        for x in shell:
+            key = intlat.canonical_residue(lat, x)
+            best[key] = min(best.get(key, (w, x)), (w, x))
+        if len(best) == lat.volume:
+            return tuple(x for _, x in sorted(best.values())), w
         w += 1
+        shell = {y for x in shell for i in range(n) for s in (-1, 1)
+                 for y in [x[:i] + (x[i] + s,) + x[i + 1:]] if sum(map(abs, y)) == w}
 
 
 def kronecker_rows(a, b):

@@ -120,6 +120,12 @@ class TestConstruct:
         assert body[1] == "1 0 0 0 0 3"
         assert body[-1] == "0 0 0 0 0 24"
 
+    def test_unwritable_out_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "dir" / "g.txt"
+        assert run_cli(["construct", "gn", "--n", "6", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+        assert not (tmp_path / "no").exists()
+
     def test_gij_parameters(self, tmp_path, capsys):
         out = tmp_path / "g32.txt"
         assert run_cli(["construct", "gij", "--i", "3", "--j", "2", "--out", str(out)]) == 0
@@ -354,9 +360,10 @@ class TestAnalyze:
         f = tmp_path / "gn4.txt"
         run_cli(["construct", "gn", "--n", "4", "--out", str(f)])
         capsys.readouterr()
-        for cap in ("0", "-1"):
+        faults = {"0": "must be at least 1", "-1": "must be at least 1", "abc": "invalid int value"}
+        for cap, fault in faults.items():
             assert run_cli(["analyze", str(f), "--min-dist-cap", cap]) == 2
-            assert "--min-dist-cap" in capsys.readouterr().err
+            assert f"argument --min-dist-cap: {fault}" in capsys.readouterr().err
 
     def test_negative_coset_cap_exits_2(self, tmp_path, capsys):
         f = tmp_path / "gn4.txt"
@@ -459,6 +466,25 @@ class TestTransform:
             monkeypatch=monkeypatch,
         ) == 0
         assert capsys.readouterr().out == "0 1 1 1\n"
+
+    def test_disc_d4_images(self, capsys, monkeypatch):
+        """The first two points drawn by random.Random(4), 16 coordinates in
+        [-60, 60] each.  Running disc twice gives the input back for any
+        choice of minimum-weight leaders; these images pin the
+        lexicographically smallest."""
+        stream = ("-30 -22 -47 32 -10 1 -41 -49 -52 -58 -9 10 57 -23 42 37\n"
+                  "-53 -32 6 8 -14 -25 39 -38 45 -47 -27 -33 60 58 -57 46\n")
+        argv = ["transform", "--d", "4", "--mode", "disc"]
+        assert run_cli(argv, stdin=stream, monkeypatch=monkeypatch) == 0
+        assert capsys.readouterr().out == (
+            "-41 -4 -29 38 -47 -45 -46 10 -42 -40 50 -12 64 4 -13 35\n"
+            "-17 16 12 27 -50 22 -32 7 -38 17 -81 -69 34 -76 3 17\n")
+
+    def test_blank_lines_are_skipped(self, capsys, monkeypatch):
+        stream = "1 0 0 0\n\n   \n0 1 1 1\n"
+        argv = ["transform", "--d", "2", "--mode", "disc"]
+        assert run_cli(argv, stdin=stream, monkeypatch=monkeypatch) == 0
+        assert capsys.readouterr().out == "0 1 1 1\n1 0 0 0\n"
 
     def test_disc_twice_is_identity(self, capsys, monkeypatch):
         stream = "1 0 0 0\n5 -3 2 7\n0 0 0 0\n-9 4 4 1\n"

@@ -4,7 +4,7 @@ import pytest
 
 from leelat import analyzer, constructions, hadamard, intlat, metric, xform
 from leelat.analyzer import CertificateKind
-from leelat.errors import DimensionError
+from leelat.errors import DimensionError, SingularMatrixError
 
 from helpers import lee_code_min_distance
 
@@ -298,6 +298,29 @@ REJECTIONS = {
     "scaled_diameter_code": (lambda: constructions.scaled_diameter_code(1, 4),
                              ValueError, "n must be at least 2"),
     "dim4": (lambda: constructions.dim4(5), ValueError, "d must be a positive multiple of 6"),
+    "IntMatrix": (lambda: intlat.IntMatrix([]),
+                  DimensionError, "matrix must have at least one row and column"),
+    "matmul": (lambda: intlat.IntMatrix([[1, 2]]) @ intlat.IntMatrix([[1, 2]]),
+               DimensionError, "inner dimensions disagree"),
+    "mat_vec": (lambda: intlat.IntMatrix([[1, 2]]).mat_vec((1,)),
+                DimensionError, "vector length disagrees with matrix width"),
+    "hnf": (lambda: intlat.hnf(intlat.IntMatrix([[1, 2]])), DimensionError, "hnf needs a square matrix"),
+    "snf": (lambda: intlat.snf(intlat.IntMatrix([[1, 2]])), DimensionError, "snf needs a square matrix"),
+    "adjugate": (lambda: intlat.adjugate(intlat.IntMatrix([[1, 2]])),
+                 DimensionError, "adjugate needs a square matrix"),
+    "adjugate_singular": (lambda: intlat.adjugate(intlat.IntMatrix([[1, 2], [2, 4]])),
+                          SingularMatrixError, "adjugate of a singular matrix"),
+    "Lattice": (lambda: intlat.Lattice([[1, 2]]), DimensionError, "generator matrix must be square"),
+    "lee_dist": (lambda: metric.lee_dist((0, 0), (0,), 5), DimensionError, "points have different lengths"),
+    "lee_sphere_size": (lambda: metric.lee_sphere_size(0, 1), ValueError, "need n >= 1 and radius >= 0"),
+    "anticode_size_odd": (lambda: metric.anticode_size_odd(1, -1),
+                          ValueError, "need n >= 1 and radius >= 0"),
+    "g_volume_formula": (lambda: hadamard.g_volume_formula(1, 2), ValueError, "i and j must be at least 2"),
+    "RadicalVector": (lambda: xform.RadicalVector((1,), 0), ValueError, "radicand must be positive"),
+    "column_blocks": (lambda: list(xform.column_blocks([(1, 0, 0)], 4)),
+                      DimensionError, "point length disagrees with the transform order"),
+    "hadamard_columns": (lambda: xform.hadamard_columns(hadamard.sylvester(1), [(1, 2), (3,)]),
+                         DimensionError, "coordinate columns of a block differ in length"),
 }
 
 

@@ -23,7 +23,8 @@ DEFAULT_HARD_CAP = 64
 #: ceiling on search nodes (coordinates fixed) during a distance search
 DEFAULT_POINT_BUDGET = 20_000_000
 
-#: largest volume for which coset tables are built
+#: largest volume for which coset tables are built, and, fixed, the largest for
+#: which ``report`` reads d from the coset sweep rather than the distance tree
 DEFAULT_COSET_CAP = 10**6
 
 
@@ -167,24 +168,25 @@ def coset_table(lat: Lattice, cap: int = DEFAULT_COSET_CAP) -> CosetTable:
         w += 1
 
 
-def covering_radius(lat: Lattice, cap: int = DEFAULT_COSET_CAP) -> int:
-    """The least ρ whose Lee ball meets every coset of the lattice.
+def _coset_moves(lat: Lattice) -> tuple:
+    """The breadth-first sweep of G = Z^n/L shared by ``covering_radius``
+    and ``report``, set up once: (full, steps).
 
-    A breadth-first sweep of G = Z^n/L (``intlat.coset_group``), one
-    whole weight layer per step: the cosets within weight w + 1 are those
-    within weight w, moved by every ±σ(e_j).  The set is one int used as
-    a V-bit set, V the volume, indexed in mixed radix with the largest
-    d_i as the most significant digit.  Moving along that digit is a
+    A set of cosets is one int used as a V-bit set, V the volume, indexed
+    in mixed radix with the largest d_i of ``intlat.coset_group`` as the
+    most significant digit; ``full`` holds every coset.  Each entry of
+    ``steps`` moves a set by one ±σ(e_j), as a list of (mask or None, up
+    shift, down shift) rotations.  Moving along the largest digit is a
     plain rotation of all V bits.  Moving by t along any other digit is a
     rotation inside each block of d_i digits, done as one masked rotation
-    per set bit 2^b of t, so at most one mask per (digit, b) exists.
+    per set bit 2^b of t, so at most one mask per (digit, b) exists.  A
+    unit vector in L keeps its move, an empty one, so that the odd check
+    of ``_grow`` sees it.
     """
     volume = lat.volume
-    if volume > cap:
-        raise CapExceededError(f"volume {volume} exceeds the coset cap {cap}")
-    if volume == 1:
-        return 0
-    divisors, images = intlat.coset_group(lat)
+    full = (1 << volume) - 1
+    # a single coset needs no group, and the sweep has nothing to move
+    divisors, images = intlat.coset_group(lat) if volume > 1 else ((), ())
     order = sorted(range(len(divisors)), key=lambda i: -divisors[i])
     radix = [divisors[i] for i in order]
     strides = []
@@ -192,13 +194,11 @@ def covering_radius(lat: Lattice, cap: int = DEFAULT_COSET_CAP) -> int:
     for d in radix:
         stride //= d
         strides.append(stride)
-    full = (1 << volume) - 1
     moves = set()
     for image in images:
         g = tuple(image[i] for i in order)
-        if any(g):
-            moves.add(g)
-            moves.add(tuple(-t % d for t, d in zip(g, radix)))
+        moves.add(g)
+        moves.add(tuple(-t % d for t, d in zip(g, radix)))
     masks = {}
 
     def mask(k, s):
@@ -213,7 +213,7 @@ def covering_radius(lat: Lattice, cap: int = DEFAULT_COSET_CAP) -> int:
             masks[k, s] = m & full
         return masks[k, s]
 
-    steps = []  # per move: (mask or None, up shift, down shift) per rotation
+    steps = []
     for g in sorted(moves):
         ops = []
         if g[0]:
@@ -227,24 +227,95 @@ def covering_radius(lat: Lattice, cap: int = DEFAULT_COSET_CAP) -> int:
                 t >>= 1
                 s <<= 1
         steps.append(ops)
+    return full, steps
+
+
+def _grow(reached: int, full: int, steps: list, k: int, odd: bool = False) -> tuple:
+    """(R_(k+1), least) from R_k = ``reached``, the cosets the Lee ball B_k
+    of radius k reaches: R_k moved by every step of ``_coset_moves``.
+    With ``odd``, ``least`` is the smallest size of
+    R_k ∪ (R_k + σ(e_j)) = σ(B_k ∪ (B_k + e_j)) over all j, else V."""
+    grown = reached
+    least = full.bit_length()
+    for ops in steps:
+        x = reached
+        for m, up, down in ops:
+            if m is None:
+                x = ((x << up) & full) | (x >> down)
+            else:
+                low = x & m
+                x = (low << up) | ((x ^ low) >> down)
+        if odd:
+            least = min(least, (reached | x).bit_count())
+        grown |= x
+    if grown == reached:  # cannot happen while σ maps onto G
+        raise LatticeError(f"coset sweep stalled at weight {k} short of {full.bit_length()} cosets")
+    return grown, least
+
+
+def covering_radius(lat: Lattice, cap: int = DEFAULT_COSET_CAP) -> int:
+    """The least ρ whose Lee ball meets every coset of the lattice: the
+    radius at which the sweep of Z^n/L (``_coset_moves``, ``_grow``) has
+    reached every coset."""
+    volume = lat.volume
+    if volume > cap:
+        raise CapExceededError(f"volume {volume} exceeds the coset cap {cap}")
+    full, steps = _coset_moves(lat)
     reached = 1
     rho = 0
     while reached != full:
-        grown = reached
-        for ops in steps:
-            x = reached
-            for m, up, down in ops:
-                if m is None:
-                    x = ((x << up) & full) | (x >> down)
-                else:
-                    low = x & m
-                    x = (low << up) | ((x ^ low) >> down)
-            grown |= x
-        if grown == reached:  # cannot happen while σ maps onto G
-            raise LatticeError(f"coset sweep stalled at weight {rho} short of {volume} cosets")
-        reached = grown
+        reached = _grow(reached, full, steps, rho)[0]
         rho += 1
     return rho
+
+
+def _sweep_distance(lat: Lattice, cap: int | None, radius: bool) -> tuple:
+    """(d, ρ) from one sweep of Z^n/L; ρ is None without ``radius``, and
+    the sweep then stops as soon as d is known.
+
+    d > 2k iff σ is one-to-one on B_k, that is, iff R_k has
+    ``metric.lee_sphere_size(n, k)`` cosets: two points of B_k in one
+    coset differ by a nonzero lattice vector of weight <= 2k, and every
+    such vector is such a difference.  Given that, d > 2k + 1 iff σ is
+    one-to-one on every odd anticode B_k ∪ (B_k + e_j), of
+    ``metric.anticode_size_odd(n, k)`` points: a vector of weight 2k + 1
+    that is nonzero at j is, up to sign, a difference across the two
+    halves.  Once R_k is all of G, |B_k| >= V settles d, so d is known by
+    k = ρ.  A d above ``cap`` (``DEFAULT_HARD_CAP`` without one) raises
+    InconclusiveError once the sweep has passed it.
+    """
+    limit = cap if cap is not None else DEFAULT_HARD_CAP
+    n = lat.n
+    full, steps = _coset_moves(lat)
+    reached = 1
+    k = 0
+    d = None
+
+    def above(w):
+        if w >= limit:
+            raise InconclusiveError(
+                f"no nonzero lattice vector of weight <= {limit}; raise the cap "
+                f"(Lee balls of radius <= {k} swept over {lat.volume} cosets)"
+            )
+
+    while True:
+        if d is None:
+            if reached.bit_count() < metric.lee_sphere_size(n, k):
+                d = 2 * k
+            else:
+                above(2 * k)
+        if reached == full:
+            # d unknown here means |B_k| = V, so every odd anticode collides
+            return (2 * k + 1 if d is None else d), (k if radius else None)
+        if d is not None and not radius:
+            return d, None
+        reached, least = _grow(reached, full, steps, k, odd=d is None)
+        if d is None:
+            if least < metric.anticode_size_odd(n, k):
+                d = 2 * k + 1
+            else:
+                above(2 * k + 1)
+        k += 1
 
 
 def density_decimal(value: Fraction, places: int = 6) -> str:
@@ -327,15 +398,17 @@ def report(
     coset_cap: int = DEFAULT_COSET_CAP,
 ) -> dict:
     """Full machine-readable analysis document with a fixed key order."""
-    intlat.check_digits("volume", [lat.volume])  # it bounds every number but the density
-    d = min_distance(lat, cap=min_dist_cap)
+    volume = lat.volume
+    intlat.check_digits("volume", [volume])  # it bounds every number but the density
+    if volume <= DEFAULT_COSET_CAP:
+        # one sweep of Z^n/L gives d, and ρ within the coset cap
+        d, rho = _sweep_distance(lat, min_dist_cap, radius=volume <= coset_cap)
+    else:  # where the sweep loses to the tree
+        d = min_distance(lat, cap=min_dist_cap)
+        rho = covering_radius(lat, cap=coset_cap) if volume <= coset_cap else None
     periods, q = intlat.period(lat)
-    params = CodeParams(n=lat.n, d=d, v=lat.volume, q=q)
+    params = CodeParams(n=lat.n, d=d, v=volume, q=q)
     cert = certify(lat, min_dist=d)
-    try:
-        rho = covering_radius(lat, cap=coset_cap)
-    except CapExceededError:
-        rho = None
     doc = {
         "n": lat.n,
         "min_distance": d,

@@ -144,6 +144,13 @@ def _hnf_rows(rows) -> tuple:
     n = len(m)
     sign = 1
     for j in range(n - 1, -1, -1):
+        # a positive pivot alone in its column is already reduced; the
+        # entry above it (for j = 0, the last row's) turns most full
+        # columns away before the C-level scans of the rest
+        if m[j][j] > 0 and not m[j - 1][j]:
+            pick = operator.itemgetter(j)
+            if not any(map(pick, m[:j])) and not any(map(pick, m[j + 1:])):
+                continue
         sign *= _pivot_column(m, j, range(j + 1))
         pivot = m[j][j]
         for i in range(j + 1, n):

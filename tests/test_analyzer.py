@@ -253,6 +253,56 @@ def test_covering_radius_matches_shell_scan(case):
     assert analyzer.covering_radius(lat) == brute_coset_leaders(lat)[1]
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(coset_lattices())
+@example(([[1]], 1))
+@example(([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1))
+@example(([[2, 0], [0, 1]], 1))
+def test_report_distance_matches_brute_force(case):
+    # Z^1, a single coset, and d = 1 at volume 2 come first; the sweep's
+    # d must also refuse a cap one below it
+    lat = Lattice(*case)
+    rows = [list(r) for r in lat.int_matrix.entries]
+    d = brute_min_weight(rows, min(sum(map(abs, r)) for r in rows))
+    if d <= analyzer.DEFAULT_HARD_CAP:
+        assert analyzer.report(lat)["min_distance"] == d
+    else:
+        with pytest.raises(InconclusiveError, match="raise the cap"):
+            analyzer.report(lat)
+    doc = analyzer.report(lat, min_dist_cap=d)
+    assert (doc["min_distance"], doc["covering_radius"]) == (d, analyzer.covering_radius(lat))
+    with pytest.raises(InconclusiveError, match="raise the cap"):
+        analyzer.report(lat, min_dist_cap=d - 1)
+
+
+@st.composite
+def product_pairs(draw):
+    """Generator rows of A (n <= 2) and B (n <= 3) whose Kronecker product,
+    of volume v_A^(n_B)·v_B^(n_A), is within the sweep's volume threshold."""
+    pair = []
+    for n_max in (2, 3):
+        n = draw(st.integers(1, n_max))
+        bound = {1: 6, 2: 4, 3: 2}[n]
+        rows = [[draw(st.integers(-bound, bound)) for _ in range(n)] for _ in range(n)]
+        assume(intlat.det(IntMatrix(rows)) != 0)
+        pair.append(rows)
+    a, b = pair
+    volume = abs(intlat.det(IntMatrix(a))) ** len(b) * abs(intlat.det(IntMatrix(b))) ** len(a)
+    assume(volume <= analyzer.DEFAULT_COSET_CAP)
+    return a, b
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(product_pairs())
+def test_product_lemma(pair):
+    # d(A (x) B) = d(A)·d(B), which density rows built by intlat.kronecker print
+    a, b = pair
+    d_a = brute_min_weight(a, min(sum(map(abs, r)) for r in a))
+    d_b = brute_min_weight(b, min(sum(map(abs, r)) for r in b))
+    product = intlat.kronecker(Lattice(a), Lattice(b))
+    assert analyzer.report(product, min_dist_cap=d_a * d_b, coset_cap=0)["min_distance"] == d_a * d_b
+
+
 def cyclic_lattice(n, v, rng):
     """Z^n/L = Z/v: row j > 0 is a_j·e_0 + e_j, so e_j = -a_j·e_0 mod L."""
     return Lattice([[v] + [0] * (n - 1)]
@@ -392,6 +442,31 @@ class TestReport:
         assert doc["q"] == 16
         assert doc["certificate"]["kind"] == "diameter_perfect"
         assert doc["covering_radius"] is not None
+
+    @pytest.mark.parametrize("make, n, v", [(cyclic_lattice, 64, 10**6), (two_digit_lattice, 32, 1000)])
+    def test_memory_at_a_million_cosets(self, make, n, v):
+        # d and rho from one sweep, with no more memory than rho alone
+        lat = make(n, v, random.Random(n))
+        tracemalloc.start()
+        try:
+            doc = analyzer.report(lat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 10**6
+        d, rho = doc["min_distance"], doc["covering_radius"]
+        # the sphere of radius (d - 1) // 2 packs, the ball of radius rho covers
+        assert metric.lee_sphere_size(n, (d - 1) // 2) <= lat.volume <= metric.lee_sphere_size(n, rho)
+        assert doc["certificate"]["slack"] >= 0
+
+    def test_tree_above_the_sweep_threshold(self, monkeypatch):
+        # Paley 12 has 12^6 > 10^6 cosets: d comes from the distance tree
+        code = hadamard.hadamard_code(hadamard.paley(11))
+        calls = []
+        search = analyzer.min_distance
+        monkeypatch.setattr(analyzer, "min_distance", lambda lat, cap: calls.append(cap) or search(lat, cap))
+        doc = analyzer.report(code, coset_cap=0)
+        assert (doc["min_distance"], doc["covering_radius"], calls) == (12, None, [None])
 
     def test_key_order_fixed(self):
         doc = analyzer.report(constructions.gw_perfect(2))

@@ -356,6 +356,34 @@ class TestAnalyze:
         assert run_cli(["analyze", str(f), "--min-dist-cap", "2"]) == 4
         assert "raise the cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", [128, 256])
+    def test_gn_pipeline_certifies_distance_four(self, k, capsys, monkeypatch):
+        # construct gn --n k | analyze -: past k = 104 the distance tree runs out of nodes
+        assert run_cli(["construct", "gn", "--n", str(k)]) == 0
+        text = capsys.readouterr().out
+        assert run_cli(["analyze", "-"], stdin=text, monkeypatch=monkeypatch) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["n"], doc["min_distance"], doc["certificate"]["kind"]) == (k, 4, "diameter_perfect")
+
+    def test_distance_above_default_cap_exits_4(self, tmp_path, capsys):
+        # 100·Z: volume 100 is within the sweep's range, d = 100 is above the default cap 64
+        f = tmp_path / "z100.txt"
+        f.write_text("1 1\n100\n")
+        assert run_cli(["analyze", str(f)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("inconclusive: ") and "raise the cap" in err and len(err.splitlines()) == 1
+        assert run_cli(["analyze", str(f), "--min-dist-cap", "100"]) == 0
+        assert json.loads(capsys.readouterr().out)["min_distance"] == 100
+
+    def test_coset_cap_zero_keeps_distance(self, tmp_path, capsys):
+        f = tmp_path / "gn16.txt"
+        run_cli(["construct", "gn", "--n", "16", "--out", str(f)])
+        capsys.readouterr()
+        assert run_cli(["analyze", str(f), "--coset-cap", "0"]) == 0
+        out = capsys.readouterr().out
+        assert '"covering_radius": null' in out
+        assert json.loads(out)["min_distance"] == 4
+
     def test_nonpositive_min_dist_cap_exits_2(self, tmp_path, capsys):
         f = tmp_path / "gn4.txt"
         run_cli(["construct", "gn", "--n", "4", "--out", str(f)])

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from . import analyzer, constructions, hadamard, intlat, xform
 from .errors import DigitLimitError, InconclusiveError, LatticeError
@@ -29,6 +30,14 @@ MAX_LENGTH = 256
 #: largest ``analyze --coset-cap``; the covering radius costs about one bit
 #: a coset plus at most log2 of the volume masks of that size
 MAX_COSET_CAP = 10**7
+
+
+#: lines per parsing pass of ``transform``'s input: a pass holds a string
+#: of about 50 bytes for every token of its lines, so a short pass keeps
+#: that small (parsing 1500 lines of 16 coordinates took the same time in
+#: passes of 64 lines as of 256, on a 2-core x86-64 VM); the memo keeps one
+#: string per distinct token until the parse returns
+READ_LINES = 64
 
 
 class UsageFault(Exception):
@@ -247,22 +256,45 @@ def cmd_density(args) -> int:
     return EXIT_OK
 
 
-def _read_points(args, length: int):
-    text = _read_text(args.input or "-")
-    points = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _read_values(text: str, length: int) -> list:
+    """Every coordinate of the points of ``text``, one point a line and
+    blank lines skipped, flat and in input order.  The whole text is read
+    before the first image is made, and a fault names its line.
+
+    The lines go through C-level passes ``READ_LINES`` at a time: split,
+    one length check, ``int`` only on tokens no earlier line held (the
+    memo).  Only a pass that faults is walked line by line
+    (``_line_fault``)."""
+    lines = text.splitlines()
+    values, memo = [], {}  # memo: each token seen -> its int
+    for start in range(0, len(lines), READ_LINES):
+        rows = list(filter(None, map(str.split, lines[start : start + READ_LINES])))
+        tokens = list(chain.from_iterable(rows))
+        new = set(tokens).difference(memo)
+        try:
+            if set(map(len, rows)) - {length}:
+                raise ValueError
+            memo.update(zip(new, map(int, new)))
+        except ValueError:  # a short or long line, a non-integer, or past the int-string limit
+            _line_fault(lines, start, length)
+        values += map(memo.__getitem__, tokens)
+    return values
+
+
+def _line_fault(lines: list, start: int, length: int) -> None:
+    # raise the fault of the first bad line of the pass at lines[start]
+    for lineno, raw in enumerate(lines[start : start + READ_LINES], start=start + 1):
         line = raw.strip()
         if not line:
             continue
         try:
-            p = tuple(map(int, line.split()))
+            p = list(map(int, line.split()))
         except ValueError as e:
             fault = intlat.number_fault(line, "coordinate", "non-integer coordinate")
             raise FormatFault(f"line {lineno}: {fault}") from e
         if len(p) != length:
             raise FormatFault(f"line {lineno}: expected {length} coordinates, got {len(p)}")
-        points.append(p)
-    return points
+    raise AssertionError("a pass faulted with no bad line")
 
 
 def cmd_transform(args) -> int:
@@ -272,9 +304,11 @@ def cmd_transform(args) -> int:
         h, scale = spec.h, 1
     else:
         h, scale = xform.transform_matrix(args.d), args.d
+    n = h.order
+    values = _read_values(_read_text(args.input or "-"), n)
     text = {}  # each distinct value met in an image -> str(Fraction(value, scale))
     out = []
-    for cols in xform.column_blocks(_read_points(args, h.order), h.order):
+    for cols in xform.value_blocks(values, n):
         if args.mode == "disc":
             image = xform.discrete_columns(spec, cols)
         else:

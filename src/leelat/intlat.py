@@ -93,6 +93,18 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.entries]})"
 
 
+def _trusted(rows) -> IntMatrix:
+    """An IntMatrix of ``rows`` without the entry and shape checks: only for
+    a non-empty rectangle of ints that this module computed from a checked
+    matrix."""
+    m = object.__new__(IntMatrix)
+    entries = tuple(map(tuple, rows))
+    object.__setattr__(m, "entries", entries)
+    object.__setattr__(m, "rows", len(entries))
+    object.__setattr__(m, "cols", len(entries[0]))
+    return m
+
+
 def _pivot_column(m: list, j: int, rows) -> int:
     """Euclid on column j over the row indices ``rows`` (which include j).
 
@@ -179,7 +191,7 @@ def hnf(m: IntMatrix) -> IntMatrix:
     """
     if m.rows != m.cols:
         raise DimensionError("hnf needs a square matrix")
-    return IntMatrix(_hnf_rows(m.entries)[0])
+    return _trusted(_hnf_rows(m.entries)[0])
 
 
 def _diagonalize(a) -> tuple:
@@ -284,9 +296,9 @@ class Lattice:
             num, den = scale.numerator, scale.denominator
             if any(v % den for r in gen.entries for v in r):
                 raise IntegralityError(f"scale {scale} does not keep the generator integral")
-            m = IntMatrix([[v // den * num for v in r] for r in gen.entries])
+            m = _trusted([[v // den * num for v in r] for r in gen.entries])
             # c.HNF(G) = HNF(c.G) for c > 0, integral since c.G is
-            h = IntMatrix([[v // den * num for v in r] for r in h.entries])
+            h = _trusted([[v // den * num for v in r] for r in h.entries])
         object.__setattr__(self, "gen", gen)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "n", gen.rows)

@@ -9,10 +9,11 @@ squeezes a Lee sphere into a small box.
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
+import struct
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 
 from . import analyzer, intlat, metric
 from .errors import BoundViolationError, DimensionError, IntegralityError
@@ -42,63 +43,190 @@ class RadicalVector:
         return tuple(v // root for v in self.nums)
 
 
-#: points per block in the column sweeps: enough to spread each elementwise
-#: pass's call over many points, few enough that a block's columns stay small
+#: points per block in the column sweeps: one block is one field per point
+#: of each packed column (``_Lanes``), so BLOCK spreads each big-int
+#: operation over that many points while a 64-bit-field column stays at
+#: 2 KB; one large coordinate widens only its own block's fields
 BLOCK = 256
 
 
+def value_blocks(values: list, n: int):
+    """Yield the points whose coordinates ``values`` lists flat, ``n`` to a
+    point, in input order, in blocks of at most ``BLOCK`` held as
+    coordinate columns: column j of a block lists the j-th coordinates of
+    its points.  ``hadamard_columns`` and ``discrete_columns`` pack each
+    block in 64-bit fields while its coordinates stay below 2^(63-g) in
+    size, g = n.bit_length() guard bits, and in wider fields otherwise
+    (``_packed``)."""
+    step = n * BLOCK
+    for start in range(0, len(values), step):
+        block = values[start : start + step]
+        yield [block[j::n] for j in range(n)]
+
+
 def column_blocks(points, n: int):
-    """Yield the points of length ``n``, in input order, in blocks of at most
-    ``BLOCK`` held as coordinate columns: column j of a block is the tuple of
-    the j-th coordinates of its points."""
+    """``value_blocks`` of the points of length ``n``, read ``BLOCK`` at a
+    time; a point of another length raises."""
     points = iter(points)
     while block := list(islice(points, BLOCK)):
         if any(len(p) != n for p in block):
             raise DimensionError("point length disagrees with the transform order")
-        yield list(zip(*block))
+        yield from value_blocks(list(chain.from_iterable(block)), n)
 
 
-def hadamard_columns(h: HadamardMatrix, cols) -> list:
-    """H.x for every point x of a block held as coordinate columns: column i
-    of the result holds (H.x)_i of each point, exactly.
+class _Lanes:
+    """``m`` fields of ``w`` bits (a multiple of 64) in one int, field i at
+    bits [w*i, w*i + w): SIMD within a register, one field per point of a
+    block.  A packed column is sum(v_i * 2^(w*i)) + ``top``, each field
+    holding v_i + 2^(w-1), so packed columns add and subtract as single
+    ints, exactly, whatever the fields hold in between.  A field is read
+    (``unpack``, or a mask or shift) only where its value is known to lie
+    in [-2^(w-1), 2^(w-1)); then no field has carried into the next.  At
+    64 bits a column packs and unpacks through ``struct`` in C; wider
+    fields go through ``int.to_bytes`` a value at a time.  64-bit lanes
+    also hold ``low`` and ``mask``, which test the fields for g guard bits
+    (``_packed``); ``_lanes64`` keeps them."""
+
+    __slots__ = ("m", "w", "one", "top", "q", "low", "mask")
+
+    def __init__(self, m: int, w: int, g: int = 0):
+        self.m, self.w = m, w
+        self.one = int.from_bytes((b"\1" + bytes(w // 8 - 1)) * m, "little")  # 1 in every field
+        self.top = self.one << (w - 1)
+        if w == 64:
+            self.q = struct.Struct(f"<{m}q")
+            self.low, self.mask = self.one << (63 - g), self.one * ((1 << g) - 1 << (64 - g))
+
+    def pack(self, cols) -> list:
+        if self.w == 64:
+            return [int.from_bytes(self.q.pack(*col), "little") ^ self.top for col in cols]
+        size = self.w // 8
+        return [int.from_bytes(b"".join([v.to_bytes(size, "little", signed=True) for v in col]), "little")
+                ^ self.top for col in cols]
+
+    def unpack(self, x: int) -> tuple:
+        raw = (x ^ self.top).to_bytes(self.m * self.w // 8, "little")
+        if self.w == 64:
+            return self.q.unpack(raw)
+        size = self.w // 8
+        return tuple([int.from_bytes(raw[i : i + size], "little", signed=True) for i in range(0, len(raw), size)])
+
+
+# _lanes64(m, 64, g): the 64-bit lanes that every block of m points with g
+# guard bits shares; wider lanes (megabytes for huge coordinates) are built
+# afresh and dropped
+_lanes64 = functools.lru_cache(maxsize=16)(_Lanes)
+
+
+def _packed(cols, n: int):
+    """The ``_Lanes`` for a block and its columns packed in them, the fields
+    wide enough that H.x fits for every H of order ``n`` with +-1 entries.
+
+    |(H.x)_i| <= n*max|x_j| < 2^g * max|x_j| for g = n.bit_length(), so g
+    guard bits above a value's own bits keep H.x in range, and no fewer
+    do: with g - 1, a row of -1s maps n coordinates -2^(64-g) to n*2^(64-g)
+    >= 2^63.  The block takes 64-bit fields when every value lies in
+    [-2^(63-g), 2^(63-g)), tested per column with one add, and and compare:
+    the field v + 2^63 plus 2^(63-g) must land in [2^63, 2^63 + 2^(64-g)),
+    its top g bits 1, 0, ..., 0.  A value past that, or past the signed
+    64-bit range (``struct.error``), sends the block to the least multiple
+    of 64 bits that leaves g guard bits above its largest |value|."""
+    g = n.bit_length()
+    lanes = _lanes64(len(cols[0]), 64, g)
+    try:
+        xs = lanes.pack(cols)
+    except struct.error:  # a value past the signed 64-bit range
+        pass
+    else:
+        low, mask, top = lanes.low, lanes.mask, lanes.top
+        if all((x + low) & mask == top for x in xs):
+            return lanes, xs
+    big = max(map(abs, chain.from_iterable(cols)))
+    lanes = _Lanes(len(cols[0]), -(-(big.bit_length() + g + 1) // 64) * 64)
+    return lanes, lanes.pack(cols)
+
+
+def _hadamard_packed(h: HadamardMatrix, xs: list, top: int) -> list:
+    """H.x on packed columns (see ``_Lanes``): column i of the result holds
+    (H.x)_i of each point.
 
     With H = H_2^(x)k (x) A (k = ``h.split``), H.x is k stages of the fast
     Walsh-Hadamard butterfly, each sending a column pair (x, y) to
     (x + y, x - y), then A on each run of order(A) columns they leave.  Row
     i of A.x is the total of the run minus twice the total of its columns
-    where row i of A is -1.  A Sylvester matrix costs n*log2(n) elementwise
-    additions over the block, a Paley matrix (k = 0) about n^2/2."""
+    where row i of A is -1.  A Sylvester matrix costs 2n*log2(n) big-int
+    additions per block, a Paley matrix (k = 0) about n^2/2.  Each sum or
+    difference takes one ``top`` off or puts one back, so every column
+    holds its values plus exactly one ``top`` throughout."""
     n = h.order
-    if len(cols) != n:
-        raise DimensionError("point length disagrees with the matrix order")
-    if len(set(map(len, cols))) > 1:
-        raise DimensionError("coordinate columns of a block differ in length")
-    cols = list(cols)
+    xs = list(xs)
     half = n
     for _ in range(h.split):
         half //= 2
         for start in range(0, n, 2 * half):
             for j in range(start, start + half):
-                x, y = cols[j], cols[j + half]
-                cols[j] = list(map(operator.add, x, y))
-                cols[j + half] = list(map(operator.sub, x, y))
-    leaf = [row[:half] for row in h.matrix.entries[:half]]
-    return [row for start in range(0, n, half) for row in _rows_product(leaf, cols[start : start + half])]
-
-
-def _rows_product(rows, cols) -> list:
-    # the +-1 matrix with these rows times the block with these columns
-    total = cols[0]
-    for col in cols[1:]:
-        total = list(map(operator.add, total, col))
+                x, y = xs[j], xs[j + half]
+                xs[j], xs[j + half] = x + y - top, x - y + top
+    negs = [[i for i, v in enumerate(row[:half]) if v < 0] for row in h.matrix.entries[:half]]  # A's -1s
+    if negs == [[]]:  # A = [1]
+        return xs
     out = []
-    for row in rows:
-        neg = None
-        for v, col in zip(row, cols):
-            if v < 0:
-                neg = col if neg is None else list(map(operator.add, neg, col))
-        out.append(total if neg is None else [t - 2 * v for t, v in zip(total, neg)])
+    for start in range(0, n, half):
+        run = xs[start : start + half]
+        total = sum(run)
+        for neg in negs:
+            # the total holds half copies of top, each -1 column takes two off
+            y = total - 2 * sum([run[i] for i in neg])
+            out.append(y + (1 - half + 2 * len(neg)) * top)
     return out
+
+
+def _check_block(cols, n: int, what: str) -> None:
+    if len(cols) != n:
+        raise DimensionError(f"point length disagrees with the {what} order")
+    if len(set(map(len, cols))) > 1:
+        raise DimensionError("coordinate columns of a block differ in length")
+
+
+def hadamard_columns(h: HadamardMatrix, cols) -> list:
+    """H.x for every point x of a block held as coordinate columns: column i
+    of the result holds (H.x)_i of each point, exactly.  The columns are
+    packed (``_packed``) and go through the butterfly as one int each."""
+    _check_block(cols, h.order, "matrix")
+    if not cols[0]:
+        return [() for _ in cols]
+    lanes, xs = _packed(cols, h.order)
+    return list(map(lanes.unpack, _hadamard_packed(h, xs, lanes.top)))
+
+
+def _class_key(residues, d: int) -> int:
+    """The key sum(r_i * d^i) of the residue class (r_0, r_1, ...) mod d:
+    what ``TransformSpec.cosets`` is indexed by."""
+    key = 0
+    for r in reversed(residues):
+        key = key * d + r
+    return key
+
+
+def _divide(lanes: _Lanes, xs: list, d: int) -> tuple:
+    """For packed columns y = H.x of a block: the class key of y mod d for
+    each point, and the packed columns of floor(y / d).
+
+    For d = 2^k, the field v + 2^(w-1) has v's residue in its low k bits and
+    floor(v / d) + 2^(w-1-k) above them, since d divides the bias: one and
+    and one shift per column give both, and the residues of a point,
+    shifted k bits apart, add into its key while its n*k bits fit below
+    the field's top bit.  Any other d takes the residues and quotients
+    per value."""
+    k = d.bit_length() - 1
+    if d == 1 << k and len(xs) * k < lanes.w:
+        one, top, w = lanes.one, lanes.top, lanes.w
+        low, high, rebias = (d - 1) * one, one * ((1 << (w - k)) - 1), top - (top >> k)
+        keys = lanes.unpack(sum([(x & low) << (i * k) for i, x in enumerate(xs)]) + top)
+        return keys, [(x >> k & high) + rebias for x in xs]
+    cols = list(map(lanes.unpack, xs))
+    keys = [_class_key(r, d) for r in zip(*[[v % d for v in col] for col in cols])]
+    return keys, lanes.pack([[v // d for v in col] for col in cols])
 
 
 def t_apply(h: HadamardMatrix, x) -> RadicalVector:
@@ -107,9 +235,10 @@ def t_apply(h: HadamardMatrix, x) -> RadicalVector:
 
 
 def _sphere_box(m: IntMatrix, radius: int, center, d: int, offsets) -> tuple:
-    """The per-row extremes ``(lo, hi)`` of floor(m.p / d) + offsets[m.p mod d]
-    over every point p of the Lee sphere of the given radius about
-    ``center`` (default the origin), and the number of sphere points.
+    """The per-row extremes ``(lo, hi)`` of floor(m.p / d) + offsets[k] over
+    every point p of the Lee sphere of the given radius about
+    ``center`` (default the origin), k the key of the class m.p mod d
+    (``_class_key``), and the number of sphere points.
 
     No point is enumerated.  The summary of a set of coordinates is a list
     of shells, one per weight w <= radius.  A shell maps each residue class
@@ -167,8 +296,9 @@ def _sphere_box(m: IntMatrix, radius: int, center, d: int, offsets) -> tuple:
     sums = pair(zip(head, reversed(balls)), {})
     lo, hi = [], []
     for t, (_, ext) in sums.items():
-        lo.append([v // d + o for v, o in zip(ext, offsets[t])])
-        hi.append([-v // d + o for v, o in zip(ext[rows:], offsets[t])])
+        off = offsets[_class_key(t, d)]
+        lo.append([v // d + o for v, o in zip(ext, off)])
+        hi.append([-v // d + o for v, o in zip(ext[rows:], off)])
     count = sum(c for c, _ in sums.values())
     return list(map(min, zip(*lo))), list(map(max, zip(*hi))), count
 
@@ -195,7 +325,7 @@ def continuous_box(h: HadamardMatrix, radius: int) -> ContinuousBoxReport:
     if radius < 0:
         raise ValueError("radius must be non-negative")
     n = h.order
-    lo, hi, count = _sphere_box(h.matrix, radius, None, 1, {(0,) * n: (0,) * n})
+    lo, hi, count = _sphere_box(h.matrix, radius, None, 1, {0: (0,) * n})
     max_abs = max(max(hi), -min(lo))
     if max_abs > radius:
         raise BoundViolationError(
@@ -254,9 +384,10 @@ class TransformSpec:
     """Everything the discrete involution needs: the symmetric Hadamard
     matrix of order d^2, its kernel code, and the code's coset leaders.
 
-    The code is the kernel of x -> H.x mod d, so the syndrome H.p mod d
-    names the coset of p exactly.  ``cosets`` maps each syndrome to the
-    offset s - floor(H.s / d) of the coset's minimum-weight leader s;
+    The code is the kernel of x -> H.x mod d, so the syndrome r = H.p mod d
+    names the coset of p exactly.  ``cosets`` maps each syndrome's key
+    sum(r_i * d^i) to the offset s - floor(H.s / d) of the coset's
+    minimum-weight leader s;
     ``rho``, the largest leader weight, is the code's covering radius.
     """
 
@@ -277,8 +408,10 @@ class TransformSpec:
         table = analyzer.coset_table(code)
         cosets = {}
         for cols in column_blocks(table.leaders, h.order):
-            for s, hs in zip(zip(*cols), zip(*hadamard_columns(h, cols))):
-                cosets[tuple(v % d for v in hs)] = tuple(c - v // d for c, v in zip(s, hs))
+            lanes, ss = _packed(cols, h.order)
+            keys, qs = _divide(lanes, _hadamard_packed(h, ss, lanes.top), d)
+            offsets = [lanes.unpack(s - q + lanes.top) for s, q in zip(ss, qs)]
+            cosets.update(zip(keys, zip(*offsets)))
         if len(cosets) != table.size:
             raise ArithmeticError("two coset leaders share a syndrome")
         return cls(h=h, d=d, code=code, rho=table.rho, cosets=cosets)
@@ -293,14 +426,15 @@ def discrete_columns(spec: TransformSpec, cols) -> list:
     H.p = d*q + r with 0 <= r < d entrywise: r is the syndrome, and H.s
     leaves the same r, so the image is q + (s - floor(H.s / d)), the
     syndrome's stored offset.  No divisibility test is needed: the residues
-    cancel, so the division is exact by construction."""
-    if len(cols) != spec.h.order:
-        raise DimensionError("point length disagrees with the transform order")
-    d, hp = spec.d, hadamard_columns(spec.h, cols)
-    offsets = list(map(spec.cosets.__getitem__, zip(*[[v % d for v in col] for col in hp])))
-    if not offsets:
-        return [[] for _ in hp]
-    return [[v // d + c for v, c in zip(col, off)] for col, off in zip(hp, zip(*offsets))]
+    cancel, so the division is exact by construction.  H.p, r, q and the
+    image stay packed (``_divide``); only the keys are read per point."""
+    _check_block(cols, spec.h.order, "transform")
+    if not cols[0]:
+        return [() for _ in cols]
+    lanes, xs = _packed(cols, spec.h.order)
+    keys, qs = _divide(lanes, _hadamard_packed(spec.h, xs, lanes.top), spec.d)
+    offsets = lanes.pack(zip(*map(spec.cosets.__getitem__, keys)))
+    return [lanes.unpack(q + c - lanes.top) for q, c in zip(qs, offsets)]
 
 
 def discrete_transform(spec: TransformSpec, p) -> tuple:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 
@@ -542,6 +543,58 @@ class TestTransform:
             monkeypatch=monkeypatch,
         ) == 3
         assert capsys.readouterr().err.startswith("error: line 1: coordinate too long (5000 digits")
+
+    @pytest.mark.parametrize("bad, message", [
+        ("1 0 0", "expected 4 coordinates, got 3"),
+        ("1 0 0 " + "9" * 5000, "coordinate too long (5000 digits"),
+    ])
+    def test_late_fault_names_its_line(self, bad, message, capsys, monkeypatch):
+        """Past the first block and parsing pass, after blank lines that the
+        line numbers still count, a fault on line 300 names line 300."""
+        lines = ["1 0 0 0"] * 200 + [""] * 20 + ["  "] * 5 + ["-3 5 0 7"] * 74 + [bad] + ["0 1 1 1"] * 10
+        assert lines[299] == bad
+        argv = ["transform", "--d", "2", "--mode", "disc"]
+        assert run_cli(argv, stdin="\n".join(lines) + "\n", monkeypatch=monkeypatch) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: line 300: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("first, second, message", [
+        ("1 0 0", "1 x 0 0", "expected 4 coordinates, got 3"),
+        ("1 x 0 0", "1 0 0", "non-integer coordinate"),
+    ])
+    def test_first_bad_line_of_a_pass_wins(self, first, second, message, capsys, monkeypatch):
+        """Two bad lines of different kinds in one parsing pass: the earlier
+        is reported, whichever check it fails."""
+        lines = ["+1 0 0 -0"] * 70 + [first] + ["01 0 0 0"] * 3 + [second]
+        argv = ["transform", "--d", "2", "--mode", "disc"]
+        assert run_cli(argv, stdin="\n".join(lines) + "\n", monkeypatch=monkeypatch) == 3
+        assert capsys.readouterr() == ("", f"error: line 71: {message}\n")
+
+    def test_late_format_fault_beats_early_long_image(self, capsys, monkeypatch):
+        """The whole input is checked before the first image is made: a bad
+        line 1400 is reported, not the over-long image of line 1."""
+        lines = [" ".join(["9" * 4300] * 16)] + ["1 " + "0 " * 14 + "-1"] * 1398 + ["1 2 x"]
+        for mode in ("disc", "cont"):
+            argv = ["transform", "--d", "4", "--mode", mode]
+            assert run_cli(argv, stdin="\n".join(lines) + "\n", monkeypatch=monkeypatch) == 3
+            assert capsys.readouterr() == ("", "error: line 1400: non-integer coordinate\n")
+
+    def test_output_is_the_same_for_every_block_size(self, capsys, monkeypatch):
+        """Blocks of 255, 256 and 257 points print the same bytes, with some
+        points past the 64-bit fields, so that blocks change field width."""
+        rng = random.Random(23)
+        pts = [[rng.randint(-60, 60) for _ in range(16)] for _ in range(700)]
+        for i in (3, 254, 255, 256, 257, 511, 699):
+            pts[i][i % 16] = rng.choice([1 << 59, -(1 << 63), 1 << 64, -(10**30)])
+        stdin = "".join(" ".join(map(str, p)) + "\n" for p in pts)
+        for mode in ("disc", "cont"):
+            outs = set()
+            for block in (255, 256, 257):
+                monkeypatch.setattr(xform, "BLOCK", block)
+                assert run_cli(["transform", "--d", "4", "--mode", mode], stdin=stdin, monkeypatch=monkeypatch) == 0
+                outs.add(capsys.readouterr().out)
+            [out] = outs
+            assert out.count("\n") == 700
 
     def test_file_input(self, tmp_path, capsys):
         f = tmp_path / "pts.txt"

@@ -47,6 +47,22 @@ class TestIntMatrix:
         with pytest.raises(DimensionError):
             IntMatrix([[1, 2], [3]])
 
+    def test_checks_stay_on_the_public_constructor(self):
+        """``hnf`` and a scaled ``Lattice`` build their matrices without the
+        entry checks; ``IntMatrix(...)`` itself still checks every entry and
+        the shape, and the unchecked matrices equal checked ones."""
+        for bad, error in (([[1, Fraction(1, 2)]], IntegralityError), ([[1, 2], [3]], DimensionError),
+                           ([[]], DimensionError)):
+            with pytest.raises(error):
+                IntMatrix(bad)
+        lat = Lattice([[2, 0], [4, 6]], Fraction(3, 2))
+        for m in (lat.int_matrix, lat.hnf, intlat.hnf(IntMatrix([[2, 0], [4, 6]]))):
+            assert m == IntMatrix(m.entries) and (m.rows, m.cols) == (2, 2)
+            assert all(type(r) is tuple and all(type(v) is int for v in r) for r in m.entries)
+            with pytest.raises(AttributeError):
+                m.rows = 3
+        assert lat.int_matrix.entries == ((3, 0), (6, 9)) and lat.hnf.entries == ((3, 0), (0, 9))
+
     def test_matmul_and_transpose(self):
         a = IntMatrix([[1, 2], [3, 4]])
         b = IntMatrix([[0, 1], [1, 0]])

@@ -298,6 +298,63 @@ def test_hadamard_columns_match_mat_vec(h, seed, span):
         assert list(zip(*out)) == expected
 
 
+def lane_edges(n):
+    """Coordinates at the edges of the 64-bit fields for H of order n, by
+    scope, each set closed under negation as the rows of H flip signs:
+    "fast", +-(2^(63-g) - 1), inside [-2^(63-g), 2^(63-g)) for
+    g = n.bit_length() guard bits; "past", adding +-2^(63-g), +-(2^(63-g) + 1)
+    and +-floor(2^63 / n) + {0, +-1}, where n equal coordinates overflow a
+    field; "int64", adding +-2^63, past the signed 64-bit range."""
+    e, f = 1 << (63 - n.bit_length()), (1 << 63) // n
+    fast = [e - 1, 1 - e]
+    past = fast + [s * (b + t) for s in (1, -1) for b, ts in ((e, (0, 1)), (f, (-1, 0, 1))) for t in ts]
+    return {"fast": fast, "past": past, "int64": past + [1 << 63, -(1 << 63)]}
+
+
+@pytest.mark.parametrize("h", _product_cases())
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32), scope=st.sampled_from(["fast", "past", "int64"]))
+def test_hadamard_columns_at_the_lane_edges(h, seed, scope):
+    """Blocks that mix small coordinates with points e * (row r of H), whose
+    image has (H.x)_r = n*e, for e at the lane edges of one scope: H.x
+    matches mat_vec, and for the transform matrices the involution matches
+    the leader formula.  A block of the "fast" scope keeps 64-bit fields."""
+    rng = random.Random(seed)
+    n, rows = h.order, h.matrix.entries
+    edges = lane_edges(n)[scope]
+    spec = {4: built_spec(2), 16: built_spec(4)}.get(n)
+    for size in (0, 1, 257):
+        pts = []
+        for _ in range(size):
+            if rng.random() < 0.5:
+                pts.append(tuple(rng.randint(-60, 60) for _ in range(n)))
+            else:
+                e, row = rng.choice(edges), rng.choice(rows)
+                pts.append(tuple(e * v if rng.random() < 0.9 else rng.randint(-60, 60) for v in row))
+        cols = [tuple(p[j] for p in pts) for j in range(n)]
+        if scope == "fast" and pts:
+            assert xform._packed(cols, n)[0].w == 64
+        out = xform.hadamard_columns(h, cols)
+        assert len(out) == n and list(zip(*out)) == [h.matrix.mat_vec(p) for p in pts]
+        if spec is not None and spec.h.matrix == h.matrix:
+            assert list(zip(*xform.discrete_columns(spec, cols))) == [leader_image(spec, p) for p in pts]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32), d=st.sampled_from([1, 2, 3, 4, 6, 8]), n=st.sampled_from([1, 4, 16, 40]),
+       span=st.sampled_from([60, 2**50, 10**30]))
+def test_divide_gives_class_keys_and_floors(seed, d, n, span):
+    """Packed residues and quotients (d a power of two whose n residues fit
+    a field) and the per-value ones (any other d, or n*log2(d) >= 64) give
+    each point's class key sum((v_i mod d) * d^i) and floor(v / d)."""
+    rng = random.Random(seed)
+    cols = [[rng.randint(-span, span) for _ in range(9)] for _ in range(n)]
+    lanes, xs = xform._packed(cols, n)
+    keys, qs = xform._divide(lanes, xs, d)
+    assert list(keys) == [class_key([v % d for v in p], d) for p in zip(*cols)]
+    assert [list(lanes.unpack(q)) for q in qs] == [[v // d for v in col] for col in cols]
+
+
 @functools.lru_cache(maxsize=None)
 def table_leaders(d):
     return analyzer.coset_table(built_spec(d).code).leaders
@@ -329,10 +386,16 @@ def sphere_cases(draw):
     return entries, draw(st.integers(0, 5)), center
 
 
+def class_key(s, d):
+    return sum(r * d**i for i, r in enumerate(s))
+
+
 def class_offsets(rows, d, seed):
-    """An arbitrary offset vector for each residue class of Z^rows mod d."""
+    """An arbitrary offset vector for each residue class of Z^rows mod d,
+    under the class's key sum(s_i * d^i), as ``TransformSpec.cosets`` keys it."""
     rng = random.Random(seed)
-    return {s: tuple(rng.randint(-9, 9) for _ in range(rows)) for s in itertools.product(range(d), repeat=rows)}
+    return {class_key(s, d): tuple(rng.randint(-9, 9) for _ in range(rows))
+            for s in itertools.product(range(d), repeat=rows)}
 
 
 @HYPOTHESIS
@@ -353,7 +416,7 @@ def test_sphere_box_matches_brute_extremes(case, d, seed):
     images = []
     for p in sphere:
         y = m.mat_vec(p)
-        images.append(tuple(v // d + o for v, o in zip(y, offsets[tuple(v % d for v in y)])))
+        images.append(tuple(v // d + o for v, o in zip(y, offsets[class_key([v % d for v in y], d)])))
     lo, hi = list(map(min, zip(*images))), list(map(max, zip(*images)))
     assert xform._sphere_box(m, radius, center, d, offsets) == (lo, hi, len(sphere))
 

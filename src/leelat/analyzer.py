@@ -24,16 +24,12 @@ DEFAULT_HARD_CAP = 64
 DEFAULT_POINT_BUDGET = 20_000_000
 
 #: largest volume for which coset tables are built, and, fixed, the largest for
-#: which ``report`` reads d from the coset sweep rather than the distance tree
+#: which d is read from the coset sweep rather than the distance tree
 DEFAULT_COSET_CAP = 10**6
 
 
-def min_distance(
-    lat: Lattice,
-    cap: int | None = None,
-    point_budget: int = DEFAULT_POINT_BUDGET,
-) -> int:
-    """Minimum Manhattan weight over the nonzero lattice vectors.
+def _tree_distance(lat: Lattice, cap: int | None = None, point_budget: int = DEFAULT_POINT_BUDGET) -> int:
+    """The distance tree, which ``_distance`` runs above ``DEFAULT_COSET_CAP`` cosets.
 
     Depth-first enumeration of lattice vectors along the lower-triangular
     HNF, Fincke-Pohst / Schnorr-Euchner style in the L1 norm.  Coordinates
@@ -43,10 +39,9 @@ def min_distance(
     nonzero coordinate is positive is visited.  The weight bound deepens
     w = 1, 2, ... up to ``cap`` (``DEFAULT_HARD_CAP`` without one), and
     each pass looks for a vector of weight exactly w.  ``point_budget``
-    caps the search nodes over all passes.  An exhausted cap or budget
-    raises InconclusiveError, never a wrong answer.  An exhausted budget
-    raises its subclass BudgetExhaustedError: unlike an exhausted cap, it
-    leaves some weight up to the cap unsearched.
+    caps the search nodes over all passes; once it is spent the search
+    raises BudgetExhaustedError, the InconclusiveError that, unlike an
+    exhausted cap, leaves some weight up to the cap unsearched.
     """
     h = lat.hnf.entries
     n = lat.n
@@ -269,9 +264,19 @@ def covering_radius(lat: Lattice, cap: int = DEFAULT_COSET_CAP) -> int:
     return rho
 
 
-def _sweep_distance(lat: Lattice, cap: int | None, radius: bool) -> tuple:
-    """(d, ρ) from one sweep of Z^n/L; ρ is None without ``radius``, and
-    the sweep then stops as soon as d is known.
+def min_distance(lat: Lattice, cap: int | None = None) -> int:
+    """Minimum Manhattan weight over the nonzero lattice vectors, from
+    ``_distance``.  A d above ``cap`` (``DEFAULT_HARD_CAP`` without one) or
+    a spent node budget raises InconclusiveError, never a wrong answer."""
+    return _distance(lat, cap, radius=False)[0]
+
+
+def _distance(lat: Lattice, cap: int | None, radius: bool) -> tuple:
+    """(d, ρ), ρ None without ``radius``: the one choice of engine for d.
+    Up to ``DEFAULT_COSET_CAP`` cosets one sweep of Z^n/L gives both, and
+    stops at d when ρ is not asked for.  Above it, where the sweep loses to
+    the tree (Paley 12: 503 against 55 ms), ``_tree_distance`` gives d and
+    ``covering_radius`` ρ (the caller has checked the coset cap).
 
     d > 2k iff σ is one-to-one on B_k, that is, iff R_k has
     ``metric.lee_sphere_size(n, k)`` cosets: two points of B_k in one
@@ -284,6 +289,8 @@ def _sweep_distance(lat: Lattice, cap: int | None, radius: bool) -> tuple:
     k = ρ.  A d above ``cap`` (``DEFAULT_HARD_CAP`` without one) raises
     InconclusiveError once the sweep has passed it.
     """
+    if lat.volume > DEFAULT_COSET_CAP:
+        return _tree_distance(lat, cap), (covering_radius(lat, cap=lat.volume) if radius else None)
     limit = cap if cap is not None else DEFAULT_HARD_CAP
     n = lat.n
     full, steps = _coset_moves(lat)
@@ -381,9 +388,8 @@ def certify(lat: Lattice, min_dist: int | None = None) -> Certificate:
             f"volume {lat.volume} is below the proven bound {bound_size}; "
             "this indicates a bug in the construction or the distance search"
         )
-    kind = exact_kind if slack == 0 else CertificateKind.NONE
     return Certificate(
-        kind=kind,
+        kind=exact_kind if slack == 0 else CertificateKind.NONE,
         min_dist=min_dist,
         radius=radius,
         bound=bound,
@@ -400,16 +406,11 @@ def report(
     """Full machine-readable analysis document with a fixed key order."""
     volume = lat.volume
     intlat.check_digits("volume", [volume])  # it bounds every number but the density
-    if volume <= DEFAULT_COSET_CAP:
-        # one sweep of Z^n/L gives d, and ρ within the coset cap
-        d, rho = _sweep_distance(lat, min_dist_cap, radius=volume <= coset_cap)
-    else:  # where the sweep loses to the tree
-        d = min_distance(lat, cap=min_dist_cap)
-        rho = covering_radius(lat, cap=coset_cap) if volume <= coset_cap else None
+    d, rho = _distance(lat, min_dist_cap, radius=volume <= coset_cap)
     periods, q = intlat.period(lat)
     params = CodeParams(n=lat.n, d=d, v=volume, q=q)
     cert = certify(lat, min_dist=d)
-    doc = {
+    return {
         "n": lat.n,
         "min_distance": d,
         "volume": lat.volume,
@@ -425,4 +426,3 @@ def report(
             "slack": cert.slack,
         },
     }
-    return doc

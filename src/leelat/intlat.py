@@ -56,13 +56,13 @@ class IntMatrix:
         return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self.entries)))
+        return _trusted(zip(*self.entries))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionError("inner dimensions disagree")
         cols = list(zip(*other.entries))
-        return IntMatrix(
+        return _trusted(
             [[sum(a * b for a, b in zip(r, c)) for c in cols] for r in self.entries]
         )
 
@@ -73,7 +73,9 @@ class IntMatrix:
         return tuple([sum(map(operator.mul, r, x)) for r in self.entries])
 
     def scaled(self, k: int) -> "IntMatrix":
-        return IntMatrix([[k * v for v in r] for r in self.entries])
+        if not isinstance(k, int):
+            raise IntegralityError(f"scale factor {k!r} is not an int")
+        return _trusted([[k * v for v in r] for r in self.entries])
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
         """Kronecker product, self's entries expanded by blocks of other."""
@@ -81,7 +83,7 @@ class IntMatrix:
         for arow in self.entries:
             for brow in other.entries:
                 out.append([a * b for a in arow for b in brow])
-        return IntMatrix(out)
+        return _trusted(out)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and self.entries == other.entries
@@ -95,8 +97,8 @@ class IntMatrix:
 
 def _trusted(rows) -> IntMatrix:
     """An IntMatrix of ``rows`` without the entry and shape checks: only for
-    a non-empty rectangle of ints that this module computed from a checked
-    matrix."""
+    a non-empty rectangle of ints that this module computed from checked
+    matrices."""
     m = object.__new__(IntMatrix)
     entries = tuple(map(tuple, rows))
     object.__setattr__(m, "entries", entries)

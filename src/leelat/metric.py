@@ -81,25 +81,34 @@ def check_anticode_recurrences(n_max: int, r_max: int) -> list:
 
 def weight_shell(n: int, w: int):
     """Yield every point of Z^n with Manhattan weight exactly w, in
-    lexicographic order."""
+    lexicographic order.  Each point steps in place to its successor,
+    starting from (-w, 0, ..., 0), so the walk holds one point and does
+    not recurse at any n."""
+    if w < 0:
+        return
     point = [0] * n
-
-    def rec(i, rem):
-        if i == n - 1:
-            if rem == 0:
-                point[i] = 0
-                yield tuple(point)
-            else:
-                point[i] = -rem
-                yield tuple(point)
-                point[i] = rem
-                yield tuple(point)
+    point[0] = -w
+    last = n - 1
+    while True:
+        yield tuple(point)
+        if point[last] < 0:  # (..., -r) is followed by (..., r)
+            point[last] = -point[last]
+            continue
+        # the rightmost coordinate j < last that can grow: a negative one,
+        # or one followed by weight s to take from; the tail after j is cleared
+        s = point[last]
+        point[last] = 0
+        j = last - 1
+        while j >= 0 and not s and point[j] >= 0:
+            s = point[j]
+            point[j] = 0
+            j -= 1
+        if j < 0:
             return
-        for v in range(-rem, rem + 1):
-            point[i] = v
-            yield from rec(i + 1, rem - abs(v))
-
-    yield from rec(0, w)
+        v = point[j]
+        point[j] = v + 1
+        # the tail's smallest point of its weight: (-r, 0, ..., 0)
+        point[j + 1] = abs(v + 1) - abs(v) - s
 
 
 def _check_cap(shape: str, size: int, cap: int) -> None:

@@ -74,6 +74,15 @@ def box_points(n, w):
             yield p
 
 
+def recursive_weight_shell(n, w):
+    """The points of Z^n of weight exactly w in lexicographic order, by the
+    definition: each first coordinate v in increasing order, followed by the
+    shell of weight w - |v| in Z^(n-1)."""
+    if n == 1:
+        return [(-w,), (w,)] if w else [(0,)]
+    return [(v,) + rest for v in range(-w, w + 1) for rest in recursive_weight_shell(n - 1, w - abs(v))]
+
+
 def brute_min_weight(rows, w_max):
     """Minimum Manhattan weight over the nonzero lattice points, or None."""
     n = len(rows[0])

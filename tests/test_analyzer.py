@@ -18,6 +18,11 @@ EVEN_SUM_Z4 = Lattice(
 )
 
 
+def diag_2_lattice(n):
+    """diag(2, 1, ..., 1): two cosets, d = 1, ρ = 1, at any n."""
+    return Lattice([[2 if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)])
+
+
 class TestMinDistance:
     def test_zn(self):
         assert analyzer.min_distance(Lattice(IntMatrix.identity(3))) == 1
@@ -56,17 +61,23 @@ class TestMinDistance:
 
     def test_budget_guard(self):
         with pytest.raises(InconclusiveError):
-            analyzer.min_distance(
+            analyzer._tree_distance(
                 hadamard.hadamard_code(hadamard.sylvester(3)), point_budget=100
             )
 
     def test_inconclusive_messages_say_how_far(self):
         with pytest.raises(InconclusiveError) as e:
-            analyzer.min_distance(constructions.gn(6), point_budget=100)
+            analyzer._tree_distance(constructions.gn(6), point_budget=100)
         assert "nodes visited, budget 100, weights <= 2 fully searched" in str(e.value)
         with pytest.raises(InconclusiveError) as e:
-            analyzer.min_distance(constructions.gn(3), cap=2)
+            analyzer._tree_distance(constructions.gn(3), cap=2)
         assert "weight <= 2" in str(e.value) and "nodes visited" in str(e.value)
+        with pytest.raises(InconclusiveError) as e:
+            analyzer.min_distance(constructions.gn(3), cap=2)
+        assert "weight <= 2" in str(e.value) and "radius <= 1 swept over 12 cosets" in str(e.value)
+
+    def test_no_recursion_at_n_1200(self):
+        assert analyzer.min_distance(diag_2_lattice(1200)) == 1
 
     def test_paley_order_12(self):
         # the order-12 certificate through the library; the numpy span
@@ -92,16 +103,18 @@ def small_lattices(draw):
     return rows
 
 
+@pytest.mark.parametrize("engine", [analyzer.min_distance, analyzer._tree_distance],
+                         ids=["min_distance", "tree"])
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(small_lattices())
-def test_min_distance_matches_brute_force(rows):
+@given(rows=small_lattices())
+def test_min_distance_matches_brute_force(engine, rows):
     # every generator row is a lattice vector, so its weight bounds the search
     w_max = min(sum(abs(v) for v in r) for r in rows)
     d = brute_min_weight(rows, w_max)
     lat = Lattice(rows)
-    assert analyzer.min_distance(lat) == d
+    assert engine(lat) == d
     with pytest.raises(InconclusiveError):
-        analyzer.min_distance(lat, cap=d - 1)
+        engine(lat, cap=d - 1)
 
 
 class TestCosetTable:
@@ -167,6 +180,9 @@ class TestCosetTable:
     def test_volume_cap(self):
         with pytest.raises(CapExceededError):
             analyzer.coset_table(constructions.gn(6), cap=10)
+
+    def test_no_recursion_at_n_1200(self):
+        assert analyzer.coset_table(diag_2_lattice(1200)).rho == 1
 
 
 @st.composite
@@ -328,9 +344,7 @@ class TestCoveringRadius:
         assert analyzer.covering_radius(Lattice(IntMatrix.identity(256))) == 0
 
     def test_no_recursion_at_n_1200(self):
-        n = 1200
-        lat = Lattice([[2 if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)])
-        assert analyzer.covering_radius(lat) == 1
+        assert analyzer.covering_radius(diag_2_lattice(1200)) == 1
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
@@ -408,6 +422,11 @@ class TestCertify:
         assert cert.bound_size == 16 == metric.anticode_size_odd(4, 1)
         assert cert.slack == 0
 
+    def test_gn128_diameter_perfect_without_given_distance(self):
+        # past the distance tree's node budget: d = 4 from the coset sweep
+        cert = analyzer.certify(constructions.gn(128))
+        assert (cert.kind, cert.min_dist, cert.slack) == (CertificateKind.DIAMETER_PERFECT, 4, 0)
+
     def test_minkowski_even_distance_reference(self):
         # volume 38 meets the diameter-5 anticode size exactly
         cert = analyzer.certify(constructions.minkowski3(6))
@@ -463,8 +482,8 @@ class TestReport:
         # Paley 12 has 12^6 > 10^6 cosets: d comes from the distance tree
         code = hadamard.hadamard_code(hadamard.paley(11))
         calls = []
-        search = analyzer.min_distance
-        monkeypatch.setattr(analyzer, "min_distance", lambda lat, cap: calls.append(cap) or search(lat, cap))
+        search = analyzer._tree_distance
+        monkeypatch.setattr(analyzer, "_tree_distance", lambda lat, cap: calls.append(cap) or search(lat, cap))
         doc = analyzer.report(code, coset_cap=0)
         assert (doc["min_distance"], doc["covering_radius"], calls) == (12, None, [None])
 

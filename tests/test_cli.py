@@ -234,12 +234,23 @@ class TestConstruct:
         assert run_cli(["construct", "puncture", "--input", str(f), "--out", str(tmp_path / "p")]) == 0
         assert json.loads(capsys.readouterr().out)["n"] == cli.MAX_LENGTH
 
+    @pytest.mark.parametrize("k", [112, 128])
+    def test_double_of_gn_past_the_tree_budget(self, k, tmp_path, capsys, monkeypatch):
+        # construct gn --n k | construct double: d = 4 of the input from the coset sweep
+        assert run_cli(["construct", "gn", "--n", str(k)]) == 0
+        text = capsys.readouterr().out
+        out = tmp_path / "d.txt"
+        assert run_cli(["construct", "double", "--input", "-", "--out", str(out)], stdin=text,
+                       monkeypatch=monkeypatch) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 2 * k
+
     def test_double_budget_exhaustion_exits_4(self, tmp_path, capsys, monkeypatch):
-        f = tmp_path / "gn16.txt"
-        assert run_cli(["construct", "gn", "--n", "16", "--out", str(f)]) == 0
+        # Paley 12 has 12^6 > 10^6 cosets, so the distance tree checks its d
+        f = tmp_path / "h12.txt"
+        assert run_cli(["construct", "hadamard", "--order", "12", "--out", str(f)]) == 0
         capsys.readouterr()
-        search = analyzer.min_distance
-        monkeypatch.setattr(analyzer, "min_distance",
+        search = analyzer._tree_distance
+        monkeypatch.setattr(analyzer, "_tree_distance",
                             lambda lat, cap: search(lat, cap, point_budget=100))
         assert run_cli(["construct", "double", "--input", str(f)]) == 4
         err = capsys.readouterr().err

@@ -47,6 +47,16 @@ class TestIntMatrix:
         with pytest.raises(DimensionError):
             IntMatrix([[1, 2], [3]])
 
+    def test_derived_matrices_equal_checked_ones(self):
+        # kron, products, transposes and scalings skip the entry checks
+        a, b = IntMatrix([[1, 2], [3, 4]]), IntMatrix([[0, -1, 2]])
+        for m in (a.kron(b), b.transpose() @ b, a @ a, a.transpose(), a.scaled(-3)):
+            checked = IntMatrix(m.entries)
+            assert m == checked and (m.rows, m.cols) == (checked.rows, checked.cols)
+            assert all(type(r) is tuple and all(type(v) is int for v in r) for r in m.entries)
+        with pytest.raises(IntegralityError):
+            a.scaled(Fraction(1, 2))
+
     def test_checks_stay_on_the_public_constructor(self):
         """``hnf`` and a scaled ``Lattice`` build their matrices without the
         entry checks; ``IntMatrix(...)`` itself still checks every entry and

@@ -5,6 +5,8 @@ import pytest
 from leelat import metric
 from leelat.errors import CapExceededError, DimensionError
 
+from helpers import recursive_weight_shell
+
 
 class TestDistances:
     def test_manhattan_zero_on_equal(self):
@@ -140,6 +142,15 @@ class TestEnumerators:
         assert shell == sorted(shell)
         assert len(set(shell)) == len(shell)
         assert len(shell) == metric.lee_sphere_size(3, 3) - metric.lee_sphere_size(3, 2)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_weight_shell_matches_recursive_definition(self, n):
+        for w in range(5):
+            assert list(metric.weight_shell(n, w)) == recursive_weight_shell(n, w), w
+
+    def test_sphere_at_n_1200(self):
+        # one coordinate per recursion level would pass Python's recursion limit
+        assert len(metric.enumerate_sphere(1200, 1)) == 2401 == metric.lee_sphere_size(1200, 1)
 
     def test_point_set_dump(self):
         text = metric.format_point_set({(1, 0), (-1, 0), (0, 1)})

@@ -165,7 +165,7 @@ def coset_table(lat: Lattice, cap: int = DEFAULT_COSET_CAP) -> CosetTable:
 
 def _coset_moves(lat: Lattice) -> tuple:
     """The breadth-first sweep of G = Z^n/L shared by ``covering_radius``
-    and ``report``, set up once: (full, steps).
+    and ``_distance``, set up once: (full, steps).
 
     A set of cosets is one int used as a V-bit set, V the volume, indexed
     in mixed radix with the largest d_i of ``intlat.coset_group`` as the
@@ -248,20 +248,22 @@ def _grow(reached: int, full: int, steps: list, k: int, odd: bool = False) -> tu
     return grown, least
 
 
+def _cover(reached: int, full: int, steps: list, k: int) -> int:
+    """ρ: grow R_k = ``reached`` by ``_grow`` until it is every coset.  The
+    sweep's second phase, after ``_distance`` has settled d."""
+    while reached != full:
+        reached = _grow(reached, full, steps, k)[0]
+        k += 1
+    return k
+
+
 def covering_radius(lat: Lattice, cap: int = DEFAULT_COSET_CAP) -> int:
     """The least ρ whose Lee ball meets every coset of the lattice: the
-    radius at which the sweep of Z^n/L (``_coset_moves``, ``_grow``) has
-    reached every coset."""
+    sweep of Z^n/L (``_coset_moves``, ``_cover``) from the zero coset."""
     volume = lat.volume
     if volume > cap:
         raise CapExceededError(f"volume {volume} exceeds the coset cap {cap}")
-    full, steps = _coset_moves(lat)
-    reached = 1
-    rho = 0
-    while reached != full:
-        reached = _grow(reached, full, steps, rho)[0]
-        rho += 1
-    return rho
+    return _cover(1, *_coset_moves(lat), 0)
 
 
 def min_distance(lat: Lattice, cap: int | None = None) -> int:
@@ -273,10 +275,10 @@ def min_distance(lat: Lattice, cap: int | None = None) -> int:
 
 def _distance(lat: Lattice, cap: int | None, radius: bool) -> tuple:
     """(d, ρ), ρ None without ``radius``: the one choice of engine for d.
-    Up to ``DEFAULT_COSET_CAP`` cosets one sweep of Z^n/L gives both, and
-    stops at d when ρ is not asked for.  Above it, where the sweep loses to
-    the tree (Paley 12: 503 against 55 ms), ``_tree_distance`` gives d and
-    ``covering_radius`` ρ (the caller has checked the coset cap).
+    Up to ``DEFAULT_COSET_CAP`` cosets one sweep of Z^n/L settles d, then
+    grows on to ρ by ``_cover`` only when ρ is asked for.  Above it, where
+    the sweep loses to the tree (Paley 12: 503 against 55 ms),
+    ``_tree_distance`` gives d and ``_cover`` ρ (the caller checked the cap).
 
     d > 2k iff σ is one-to-one on B_k, that is, iff R_k has
     ``metric.lee_sphere_size(n, k)`` cosets: two points of B_k in one
@@ -290,13 +292,12 @@ def _distance(lat: Lattice, cap: int | None, radius: bool) -> tuple:
     InconclusiveError once the sweep has passed it.
     """
     if lat.volume > DEFAULT_COSET_CAP:
-        return _tree_distance(lat, cap), (covering_radius(lat, cap=lat.volume) if radius else None)
+        return _tree_distance(lat, cap), (_cover(1, *_coset_moves(lat), 0) if radius else None)
     limit = cap if cap is not None else DEFAULT_HARD_CAP
     n = lat.n
     full, steps = _coset_moves(lat)
     reached = 1
     k = 0
-    d = None
 
     def above(w):
         if w >= limit:
@@ -306,23 +307,20 @@ def _distance(lat: Lattice, cap: int | None, radius: bool) -> tuple:
             )
 
     while True:
-        if d is None:
-            if reached.bit_count() < metric.lee_sphere_size(n, k):
-                d = 2 * k
-            else:
-                above(2 * k)
-        if reached == full:
-            # d unknown here means |B_k| = V, so every odd anticode collides
-            return (2 * k + 1 if d is None else d), (k if radius else None)
-        if d is not None and not radius:
-            return d, None
-        reached, least = _grow(reached, full, steps, k, odd=d is None)
-        if d is None:
-            if least < metric.anticode_size_odd(n, k):
-                d = 2 * k + 1
-            else:
-                above(2 * k + 1)
+        if reached.bit_count() < metric.lee_sphere_size(n, k):
+            d = 2 * k
+            break
+        above(2 * k)
+        if reached == full:  # |B_k| = V, so every odd anticode collides
+            d = 2 * k + 1
+            break
+        reached, least = _grow(reached, full, steps, k, odd=True)
+        if least < metric.anticode_size_odd(n, k):
+            d, k = 2 * k + 1, k + 1
+            break
+        above(2 * k + 1)
         k += 1
+    return d, (_cover(reached, full, steps, k) if radius else None)
 
 
 def density_decimal(value: Fraction, places: int = 6) -> str:

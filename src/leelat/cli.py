@@ -192,9 +192,9 @@ CONSTRUCT_FLAGS = {
 
 
 def _construct_lattice(args) -> tuple:
-    """Build (lattice, nominal parameter document) for the chosen family."""
+    """Build (lattice, flag values) for the chosen family."""
     fam = args.family
-    flags, build, length, nominal = FAMILIES[fam]
+    flags, build, length = FAMILIES[fam][:3]
     values = []
     for name in flags:
         value = getattr(args, name)
@@ -207,15 +207,23 @@ def _construct_lattice(args) -> tuple:
         raise UsageFault(f"{fam} {given} asks for a code longer than the ceiling {MAX_LENGTH}")
     try:
         lat = build(*values)
-        # the scale's denominator divides every entry; the volume bounds the document
-        numbers = [lat.scale.numerator, lat.volume if args.out else 0]
-        intlat.check_digits("output number", numbers + [v for r in lat.gen.entries for v in r])
-        d, formula = nominal(*values) if nominal else (None, None)
+        # the scale's denominator divides every entry
+        intlat.check_digits("output number", [lat.scale.numerator] + [v for r in lat.gen.entries for v in r])
     except InconclusiveError:
         raise
     except (ValueError, LatticeError) as e:
         raise UsageFault(f"{fam}: {e}") from e
+    return lat, values
 
+
+def _parameter_doc(fam: str, lat: intlat.Lattice, values: list) -> dict:
+    """The nominal parameter document that ``construct --out`` prints."""
+    try:
+        intlat.check_digits("output number", [lat.volume])  # it bounds the document
+    except DigitLimitError as e:
+        raise UsageFault(f"{fam}: {e}") from e
+    nominal = FAMILIES[fam][3]
+    d, formula = nominal(*values) if nominal else (None, None)
     periods, q = intlat.period(lat)
     doc = {"family": fam, "n": lat.n, "volume": lat.volume, "period": list(periods), "q": q}
     if d is not None:
@@ -225,26 +233,28 @@ def _construct_lattice(args) -> tuple:
         doc["volume_formula"] = formula
     if fam == "dim4":
         doc["reconciliation"] = constructions.dim4_reconciliation(*values)
-    return lat, doc
+    return doc
 
 
 def cmd_construct(args) -> int:
-    lat, doc = _construct_lattice(args)
+    lat, values = _construct_lattice(args)
     text = intlat.format_lattice(lat)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise FormatFault(f"cannot write {args.out}: {e}") from e
-        print(json.dumps(doc, indent=2))
-    else:
+    if not args.out:  # the parameter document is built only to be printed
         sys.stdout.write(text)
+        return EXIT_OK
+    doc = _parameter_doc(args.family, lat, values)
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise FormatFault(f"cannot write {args.out}: {e}") from e
+    print(json.dumps(doc, indent=2))
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
-    # the distance search recurses once per coordinate
+    # above 10^6 cosets the distance tree recurses once per coordinate, so
+    # the input ceiling stays at MAX_LENGTH
     lat = _load_lattice(args.matrix, max_n=MAX_LENGTH)
     doc = analyzer.report(lat, min_dist_cap=args.min_dist_cap, coset_cap=args.coset_cap)
     print(json.dumps(doc, indent=2))

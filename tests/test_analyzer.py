@@ -484,8 +484,11 @@ class TestReport:
         calls = []
         search = analyzer._tree_distance
         monkeypatch.setattr(analyzer, "_tree_distance", lambda lat, cap: calls.append(cap) or search(lat, cap))
-        doc = analyzer.report(code, coset_cap=0)
-        assert (doc["min_distance"], doc["covering_radius"], calls) == (12, None, [None])
+        # rho, when asked for, from the sweep's second phase alone
+        for coset_cap, rho in [(0, None), (12**6, 10)]:
+            calls.clear()
+            doc = analyzer.report(code, coset_cap=coset_cap)
+            assert (doc["min_distance"], doc["covering_radius"], calls) == (12, rho, [None])
 
     def test_key_order_fixed(self):
         doc = analyzer.report(constructions.gw_perfect(2))

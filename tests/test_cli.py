@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leelat import analyzer, cli, constructions, xform
+from leelat import analyzer, cli, constructions, intlat, xform
 from leelat.errors import BoundViolationError, CapExceededError, IntegralityError
 
 
@@ -120,6 +120,20 @@ class TestConstruct:
         assert body[0] == "6 6"
         assert body[1] == "1 0 0 0 0 3"
         assert body[-1] == "0 0 0 0 0 24"
+
+    @pytest.mark.parametrize("argv", [["dim4", "--d", "6"], ["gn", "--n", "6"]], ids=["dim4", "gn"])
+    def test_no_parameter_document_without_out(self, argv, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "m.txt"
+        assert run_cli(["construct", *argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+
+        def unused(*args):
+            raise AssertionError("the parameter document is built without --out")
+
+        monkeypatch.setattr(intlat, "period", unused)
+        monkeypatch.setattr(constructions, "dim4_reconciliation", unused)
+        assert run_cli(["construct", *argv]) == 0
+        assert capsys.readouterr().out == out.read_text()
 
     def test_unwritable_out_exits_3(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "dir" / "g.txt"

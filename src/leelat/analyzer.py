@@ -4,7 +4,7 @@ perfection certificates for lattice codes."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import intlat, metric
@@ -125,16 +125,14 @@ def _tree_distance(lat: Lattice, cap: int | None = None, point_budget: int = DEF
     )
 
 
-@dataclass(frozen=True)
-class CosetTable:
+class CosetTable(namedtuple("CosetTable", "leaders rho")):
     """Minimum-weight coset leaders of Z^n modulo the lattice.
 
     ``leaders`` holds one leader per coset, in the order the shell walk
     reached them; the covering radius ``rho`` is the largest leader weight.
     """
 
-    leaders: tuple
-    rho: int
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -348,8 +346,7 @@ class CertificateKind(enum.Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", "kind min_dist radius bound bound_size slack")):
     """Outcome of comparing a code's volume against its packing bound.
 
     For odd minimum distance d = 2R+1 the reference is the Lee sphere of
@@ -358,12 +355,7 @@ class Certificate:
     be maximum, so the label says so.
     """
 
-    kind: CertificateKind
-    min_dist: int
-    radius: int
-    bound: str
-    bound_size: int
-    slack: int
+    __slots__ = ()
 
 
 def certify(lat: Lattice, min_dist: int | None = None) -> Certificate:

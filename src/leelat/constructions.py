@@ -8,7 +8,7 @@ coefficients are d-independent constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import analyzer, intlat
@@ -176,19 +176,12 @@ def gw_perfect(n: int) -> Lattice:
 # --- density table --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DensityEntry:
+class DensityEntry(namedtuple("DensityEntry", "n label d volume q density volume_power lattice")):
     """One row of the density table: the best construction found for a
-    length, evaluated at its smallest valid distance."""
+    length, evaluated at its smallest valid distance; volume =
+    volume_coeff * d**volume_power."""
 
-    n: int
-    label: str
-    d: int
-    volume: int
-    q: int
-    density: Fraction
-    volume_power: int  # volume = volume_coeff * d**volume_power
-    lattice: Lattice
+    __slots__ = ()
 
     @property
     def volume_coeff(self) -> Fraction:

@@ -11,7 +11,7 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (
@@ -397,14 +397,10 @@ def period(lat: Lattice):
     return tuple(periods), math.lcm(*periods)
 
 
-@dataclass(frozen=True)
-class CodeParams:
+class CodeParams(namedtuple("CodeParams", "n d v q")):
     """The (n, d, v, q) parameter tuple with its nominal packing density."""
 
-    n: int
-    d: int
-    v: int
-    q: int
+    __slots__ = ()
 
     @property
     def density(self) -> Fraction:

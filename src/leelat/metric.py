@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .errors import CapExceededError, DimensionError
+from .errors import CapExceededError, DimensionError, IntegralityError
 
 #: ceiling on a walk's point count; in any dimension it bounds memory and time
 DEFAULT_CAP = 10**7
@@ -118,12 +118,16 @@ def _check_cap(shape: str, size: int, cap: int) -> None:
 
 def sphere_center(n: int, radius: int, center=None, cap: int = DEFAULT_CAP) -> tuple:
     """``center`` (default the origin) of a walk over the Lee sphere of the
-    given radius in Z^n, checked to be in Z^n and to hold at most ``cap`` points."""
+    given radius in Z^n, checked to have n coordinates, each an int, and the
+    sphere to hold at most ``cap`` points."""
     _check_cap("sphere", lee_sphere_size(n, radius), cap)
     if center is None:
         return (0,) * n
     if len(center) != n:
         raise DimensionError("center has the wrong length")
+    for v in center:
+        if not isinstance(v, int):
+            raise IntegralityError(f"center coordinate {v!r} is not an int")
     return center
 
 

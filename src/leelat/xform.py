@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import chain, islice
 
 from . import analyzer, intlat, metric
@@ -21,16 +21,15 @@ from .hadamard import HadamardMatrix, sylvester
 from .intlat import IntMatrix, Lattice
 
 
-@dataclass(frozen=True)
-class RadicalVector:
+class RadicalVector(namedtuple("RadicalVector", "nums radicand")):
     """An exact vector of the form (integer components) / sqrt(radicand)."""
 
-    nums: tuple
-    radicand: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.radicand <= 0:
+    def __new__(cls, nums: tuple, radicand: int):
+        if radicand <= 0:
             raise ValueError("radicand must be positive")
+        return super().__new__(cls, nums, radicand)
 
     def to_int_vector(self) -> tuple:
         """The exact integer value, defined when the radicand is a perfect
@@ -303,13 +302,12 @@ def _sphere_box(m: IntMatrix, radius: int, center, d: int, offsets) -> tuple:
     return list(map(min, zip(*lo))), list(map(max, zip(*hi))), count
 
 
-@dataclass(frozen=True)
-class ContinuousBoxReport:
-    order: int
-    radius: int
-    max_abs: int  # max_j |(H.x)_j| over the checked sphere points
-    points_checked: int
-    witness_attains: bool
+class ContinuousBoxReport(
+    namedtuple("ContinuousBoxReport", "order radius max_abs points_checked witness_attains")
+):
+    """``max_abs`` is max_j |(H.x)_j| over the checked sphere points."""
+
+    __slots__ = ()
 
 
 def continuous_box(h: HadamardMatrix, radius: int) -> ContinuousBoxReport:
@@ -379,8 +377,7 @@ def transform_matrix(d: int) -> HadamardMatrix:
     return sylvester(2 * d.bit_length() - 2)
 
 
-@dataclass(frozen=True)
-class TransformSpec:
+class TransformSpec(namedtuple("TransformSpec", "h d code rho cosets")):
     """Everything the discrete involution needs: the symmetric Hadamard
     matrix of order d^2, its kernel code, and the code's coset leaders.
 
@@ -389,13 +386,13 @@ class TransformSpec:
     sum(r_i * d^i) to the offset s - floor(H.s / d) of the coset's
     minimum-weight leader s;
     ``rho``, the largest leader weight, is the code's covering radius.
+    The repr leaves ``cosets`` out.
     """
 
-    h: HadamardMatrix
-    d: int
-    code: Lattice
-    rho: int
-    cosets: dict = field(repr=False)
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return f"TransformSpec(h={self.h!r}, d={self.d!r}, code={self.code!r}, rho={self.rho!r})"
 
     @classmethod
     def build(cls, d: int) -> "TransformSpec":
@@ -456,13 +453,12 @@ def check_involution_discrete(spec: TransformSpec, points) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class DiscreteBoxReport:
-    radius: int
-    rho: int
-    bound: int  # guaranteed per-axis extent 2*ceil((R+rho)/d) + 2*rho + 1
-    extents: tuple  # measured number of integer points spanned per axis
-    points_checked: int
+class DiscreteBoxReport(namedtuple("DiscreteBoxReport", "radius rho bound extents points_checked")):
+    """``bound`` is the guaranteed per-axis extent 2*ceil((R+rho)/d) +
+    2*rho + 1; ``extents`` the measured number of integer points spanned
+    per axis."""
+
+    __slots__ = ()
 
 
 def discrete_box(spec: TransformSpec, radius: int, center=None) -> DiscreteBoxReport:

@@ -7,11 +7,15 @@ over small coordinate boxes.  The coset-leader oracle grows whole Lee
 shells by unit steps and takes each coset's smallest member by (weight,
 tuple), so neither the library's shell walk order nor its first-hit rule
 decides a leader.
+
+``check_record`` holds the contract every leelat result type keeps.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+
+import pytest
 
 from leelat import intlat
 
@@ -152,3 +156,18 @@ def kronecker_rows(a, b):
     """The Kronecker product of two matrices given as row lists: entry
     (i*p + k, j*q + l) is a[i][j] * b[k][l], with b of shape p x q."""
     return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def check_record(cls, fields, other, text):
+    """The contract of a leelat result type: built by position and by
+    keyword from ``fields`` (name -> value, in field order), equal by
+    value and unequal once ``other`` (name -> value) changes a field,
+    every field readable and none assignable, and ``text`` as its repr."""
+    record = cls(*fields.values())
+    assert record == cls(**fields)
+    assert record != cls(**{**fields, **other})
+    assert all(getattr(record, name) is value for name, value in fields.items())
+    for name in [*fields, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert repr(record) == text

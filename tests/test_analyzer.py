@@ -11,7 +11,7 @@ from leelat.analyzer import CertificateKind
 from leelat.errors import CapExceededError, InconclusiveError
 from leelat.intlat import IntMatrix, Lattice
 
-from helpers import brute_coset_leaders, brute_min_weight, lee_code_min_distance
+from helpers import brute_coset_leaders, brute_min_weight, check_record, lee_code_min_distance
 
 EVEN_SUM_Z4 = Lattice(
     [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 0, 2]]
@@ -129,6 +129,11 @@ class TestCosetTable:
         assert table.size == 2
         assert sorted(table.leaders) == [(-1, 0, 0, 0), (0, 0, 0, 0)]
         assert table.rho == 1
+
+    def test_record(self):
+        fields = {"leaders": ((0, 0), (1, 0)), "rho": 1}
+        check_record(analyzer.CosetTable, fields, {"rho": 2}, "CosetTable(leaders=((0, 0), (1, 0)), rho=1)")
+        assert analyzer.CosetTable(**fields).size == 2
 
     def test_leader_weights_are_coset_minimal(self):
         # re-derive the minimum weight of every coset by exhaustive scan
@@ -410,6 +415,16 @@ class TestPackingDensity:
 
 
 class TestCertify:
+    def test_record(self):
+        fields = {"kind": CertificateKind.PERFECT, "min_dist": 3, "radius": 1, "bound": "lee_sphere",
+                  "bound_size": 5, "slack": 0}
+        check_record(analyzer.Certificate, fields, {"slack": 1},
+                     "Certificate(kind=<CertificateKind.PERFECT: 'perfect'>, min_dist=3, radius=1, "
+                     "bound='lee_sphere', bound_size=5, slack=0)")
+        assert repr(analyzer.certify(constructions.gn(3))) == (
+            "Certificate(kind=<CertificateKind.DIAMETER_PERFECT: 'diameter_perfect'>, min_dist=4, "
+            "radius=1, bound='odd_anticode(conjectured_max)', bound_size=12, slack=0)")
+
     def test_golomb_welch_perfect(self):
         cert = analyzer.certify(constructions.gw_perfect(3))
         assert cert.kind is CertificateKind.PERFECT

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import subprocess
 import sys
 import tempfile
 
@@ -503,9 +504,6 @@ class TestDensity:
         assert run_cli(["density", "--max-n", "13"]) == 2
 
     def test_byte_identical_across_processes(self):
-        import subprocess
-        import sys
-
         cmd = [sys.executable, "-m", "leelat", "density", "--max-n", "8"]
         a = subprocess.run(cmd, capture_output=True, check=True).stdout
         b = subprocess.run(cmd, capture_output=True, check=True).stdout
@@ -754,3 +752,19 @@ def test_exit_code_contract_fuzz(command, text, other):
     assert code in (0, 2, 3, 4)
     if code:
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
+def test_import_adds_no_introspection_modules():
+    """``import leelat.cli`` loads none of dataclasses, inspect, ast, dis and
+    tokenize.  It runs in a subprocess because pytest imports inspect and
+    ast itself, and it is compared with a bare interpreter in the same
+    environment because ``site`` may import modules of its own."""
+
+    def modules(code):
+        run = subprocess.run([sys.executable, "-c", code + "import sys; print(*sys.modules)"],
+                             capture_output=True, check=True, text=True)
+        return set(run.stdout.split())
+
+    added = modules("import leelat.cli; ") - modules("")
+    assert "leelat.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}

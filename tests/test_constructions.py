@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from leelat import analyzer, constructions, hadamard, intlat, metric, xform
+from leelat import analyzer, cli, constructions, hadamard, intlat, metric, xform
 from leelat.analyzer import CertificateKind
 from leelat.errors import DimensionError, SingularMatrixError
 
-from helpers import lee_code_min_distance
+from helpers import check_record, lee_code_min_distance
 
 EXAMPLE_G6 = (
     (1, 0, 0, 0, 0, 3),
@@ -277,11 +277,51 @@ class TestDensityTable:
         with pytest.raises(ValueError):
             constructions.density_table(13)
 
+    def test_record(self):
+        lat = constructions.n2_perfect(2)
+        fields = {"n": 2, "label": "n2perfect", "d": 2, "volume": 2, "q": 2, "density": Fraction(1),
+                  "volume_power": 2, "lattice": lat}
+        text = ("DensityEntry(n=2, label='n2perfect', d=2, volume=2, q=2, density=Fraction(1, 1), "
+                "volume_power=2, lattice=Lattice([[1, 1], [1, -1]]))")
+        check_record(constructions.DensityEntry, fields, {"label": "gn"}, text)
+        assert repr(constructions.density_table(2)[0]) == text
+        entry = constructions.DensityEntry(**dict(fields, d=4, volume=8, q=4))
+        assert (entry.volume_coeff, entry.q_coeff) == (Fraction(1, 2), 1)
+
     def test_survey_values_are_annotations(self):
         assert constructions.SURVEY_LOWER_BOUNDS[5] == Fraction(1600, 2343)
         table = {e.n: e for e in constructions.density_table(6)}
         # the survey bounds come from non-lattice packings; rows never use them
         assert table[5].density != constructions.SURVEY_LOWER_BOUNDS[5]
+
+
+# row 9's distance, d = 36 over 3 * 10^9 cosets, takes the distance tree
+# about 2.5 s; row 12 is inconclusive
+@pytest.mark.parametrize("n", [pytest.param(n, marks=pytest.mark.slow) if n == 9 else n for n in range(2, 12)])
+def test_density_row_distance_is_measured(n):
+    entry = constructions.density_table(n)[-1]
+    assert analyzer.min_distance(entry.lattice) == entry.d
+
+
+NOMINAL_CODES = (
+    [("hadamard", (order,)) for order in (4, 8, 12)]
+    + [("gij", ij) for ij in ((3, 2), (4, 2), (3, 3), (4, 3))]
+    + [("minkowski3", (d,)) for d in (6, 12)]
+    + [("n2perfect", (d,)) for d in (2, 4)]
+    + [("gn", (n,)) for n in (6, 16)]
+    + [("scaled", nd) for nd in ((4, 8), (5, 8))]
+    + [("gw", (n,)) for n in (3, 5, 21)]
+    + [("double", (8,))]  # the double of gn(8)
+)
+
+
+@pytest.mark.parametrize("family, values", NOMINAL_CODES,
+                         ids=[f"{f}-{'-'.join(map(str, v))}" for f, v in NOMINAL_CODES])
+def test_family_nominal_distance_is_measured(family, values):
+    _, build, _, nominal = cli.FAMILIES[family]
+    if family == "double":
+        values = (constructions.gn(*values),)
+    assert analyzer.min_distance(build(*values)) == nominal(*values)[0]
 
 
 REJECTIONS = {
@@ -317,6 +357,8 @@ REJECTIONS = {
                           ValueError, "need n >= 1 and radius >= 0"),
     "g_volume_formula": (lambda: hadamard.g_volume_formula(1, 2), ValueError, "i and j must be at least 2"),
     "RadicalVector": (lambda: xform.RadicalVector((1,), 0), ValueError, "radicand must be positive"),
+    "RadicalVector_keyword": (lambda: xform.RadicalVector(nums=(1,), radicand=-4),
+                              ValueError, "radicand must be positive"),
     "column_blocks": (lambda: list(xform.column_blocks([(1, 0, 0)], 4)),
                       DimensionError, "point length disagrees with the transform order"),
     "hadamard_columns": (lambda: xform.hadamard_columns(hadamard.sylvester(1), [(1, 2), (3,)]),

@@ -17,7 +17,7 @@ from leelat.errors import (
 )
 from leelat.intlat import IntMatrix, Lattice
 
-from helpers import brute_min_weight, cofactor_det, minor_gcd_snf, solve_membership
+from helpers import brute_min_weight, check_record, cofactor_det, minor_gcd_snf, solve_membership
 
 MINKOWSKI = [[1, -2, 3], [-2, 3, 1], [3, 1, -2]]
 G3 = [[1, 0, 3], [0, 1, 5], [0, 0, 12]]
@@ -494,6 +494,11 @@ class TestReduceModPeriod:
     def test_density_invariant(self):
         p = intlat.reduce_mod_period(Lattice(MINKOWSKI), 6)
         assert p.density == Fraction(6**3, 6 * 38) == Fraction(18, 19)
+
+    def test_record(self):
+        fields = {"n": 3, "d": 4, "v": 5, "q": 6}
+        check_record(intlat.CodeParams, fields, {"q": 7}, "CodeParams(n=3, d=4, v=5, q=6)")
+        assert intlat.CodeParams(**fields).density == Fraction(4**3, 6 * 5)
 
 
 class TestKronecker:

@@ -1,9 +1,11 @@
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
 from leelat import metric
-from leelat.errors import CapExceededError, DimensionError
+from leelat.errors import CapExceededError, DimensionError, IntegralityError
 
 from helpers import recursive_weight_shell
 
@@ -125,6 +127,12 @@ class TestEnumerators:
         assert pts == {(5, -3), (4, -3), (6, -3), (5, -2), (5, -4)}
         with pytest.raises(DimensionError, match="^center has the wrong length$"):
             metric.enumerate_sphere(2, 1, center=(5, -3, 0))
+
+    @pytest.mark.parametrize("bad", [0.5, Fraction(1, 2), Fraction(2), 2.0])
+    def test_center_coordinates_must_be_ints(self, bad):
+        # a float or Fraction centre would make non-int sphere points
+        with pytest.raises(IntegralityError, match=f"^center coordinate {re.escape(repr(bad))} is not an int$"):
+            metric.enumerate_sphere(2, 1, center=(bad, 0))
 
     def test_cap_enforced(self):
         with pytest.raises(CapExceededError, match="^sphere has 8361 points, cap is 10$"):

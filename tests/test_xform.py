@@ -17,7 +17,7 @@ from leelat.errors import CapExceededError, DimensionError, IntegralityError
 from leelat.intlat import Lattice
 from leelat.xform import ContinuousBoxReport, DiscreteBoxReport, RadicalVector, TransformSpec
 
-from helpers import kronecker_rows
+from helpers import check_record, kronecker_rows
 
 HYPOTHESIS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -46,6 +46,43 @@ class TestRadicalVector:
     def test_indivisible_component(self):
         with pytest.raises(IntegralityError):
             RadicalVector((3,), 4).to_int_vector()
+
+
+SPEC2_REPR = ("TransformSpec(h=HadamardMatrix(order=4), d=2, "
+              "code=Lattice([[2, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]]), rho=1)")
+
+#: type -> (fields in order, a change of one field, pinned repr)
+RECORDS = {
+    "RadicalVector": (lambda: {"nums": (1, 2), "radicand": 3}, {"radicand": 5},
+                      "RadicalVector(nums=(1, 2), radicand=3)"),
+    "ContinuousBoxReport": (
+        lambda: {"order": 4, "radius": 2, "max_abs": 2, "points_checked": 41, "witness_attains": True},
+        {"witness_attains": False},
+        "ContinuousBoxReport(order=4, radius=2, max_abs=2, points_checked=41, witness_attains=True)"),
+    "DiscreteBoxReport": (
+        lambda: {"radius": 2, "rho": 1, "bound": 7, "extents": (3, 3, 3, 3), "points_checked": 41},
+        {"extents": (3, 3, 3, 4)},
+        "DiscreteBoxReport(radius=2, rho=1, bound=7, extents=(3, 3, 3, 3), points_checked=41)"),
+    # the repr leaves the coset index out
+    "TransformSpec": (lambda: {"h": built_spec(2).h, "d": 2, "code": built_spec(2).code, "rho": 1,
+                               "cosets": dict(built_spec(2).cosets)},
+                      {"cosets": {}}, SPEC2_REPR),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records(name):
+    fields, other, text = RECORDS[name]
+    check_record(getattr(xform, name), fields(), other, text)
+
+
+def test_records_as_built():
+    assert repr(built_spec(2)) == SPEC2_REPR
+    assert built_spec(2) == TransformSpec(**RECORDS["TransformSpec"][0]())
+    assert repr(xform.continuous_box(hadamard.sylvester(2), 2)) == RECORDS["ContinuousBoxReport"][2]
+    assert repr(xform.discrete_box(built_spec(2), 2)) == RECORDS["DiscreteBoxReport"][2]
+    # the traced benchmark run rewraps build through the class dict
+    assert all(isinstance(TransformSpec.__dict__[k], classmethod) for k in ("build", "from_hadamard"))
 
 
 class TestContinuousTransform:
@@ -218,6 +255,11 @@ class TestDiscreteBox:
     def test_center_length_checked(self):
         with pytest.raises(DimensionError, match="^center has the wrong length$"):
             xform.discrete_box(built_spec(2), 1, center=(0, 0, 0))
+
+    @pytest.mark.parametrize("bad", [0.5, Fraction(1, 2), Fraction(2), 2.0])
+    def test_center_coordinates_must_be_ints(self, bad):
+        with pytest.raises(IntegralityError, match="^center coordinate .* is not an int$"):
+            xform.discrete_box(built_spec(2), 3, center=(0, 0, bad, 0))
 
     def test_sphere_size_cap(self):
         # the walk is bounded by the sphere's point count, not its dimension

@@ -4,15 +4,25 @@ Subcommands: construct, analyze, density, transform.  Matrices travel in
 the shared text format, analysis reports are JSON with a fixed key order,
 the density table is CSV.  Exit codes: 0 success, 2 invalid arguments,
 3 input format error, 4 inconclusive computation.
+
+Each subcommand's positional and flags are declared once, in
+``COMMANDS``.  ``run`` reads a plain argv (the subcommand, its positional
+and exact ``--flag value`` pairs) straight from that table, through the
+flags' own type and choices checks.  Any other argv, and any plain one
+that fails a check, goes to the argparse parser that ``build_parser``
+makes from the same table, so help, abbreviations, ``--flag=value`` and
+every usage error are argparse's own.  ``argparse`` is imported only then:
+a valid plain argv loads neither it nor the ``gettext`` and ``locale``
+modules it brings.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
 from itertools import chain
+from types import SimpleNamespace
 
 from . import analyzer, constructions, hadamard, intlat, xform
 from .errors import DigitLimitError, InconclusiveError, LatticeError
@@ -56,56 +66,19 @@ def _bounded_int(lo: int, hi: int | None = None):
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
-        if hi is not None and value > hi:
-            raise argparse.ArgumentTypeError(f"must be at most {hi}, got {value}")
-        return value
+            fault = f"invalid int value: {text!r}"
+        else:
+            if value < lo:
+                fault = f"must be at least {lo}, got {value}"
+            elif hi is not None and value > hi:
+                fault = f"must be at most {hi}, got {value}"
+            else:
+                return value
+        import argparse  # a valid value never loads it
+
+        raise argparse.ArgumentTypeError(fault)
 
     return parse
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="leelat",
-        description="construct, analyze and transform lattice codes in the "
-        "Lee/Manhattan metric",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("construct", help="build a generator matrix from a named family")
-    c.set_defaults(handler=cmd_construct)
-    c.add_argument("family", choices=FAMILIES)
-    for name, (kind, text) in CONSTRUCT_FLAGS.items():
-        readers = ", ".join(fam for fam, (flags, *_) in FAMILIES.items() if name in flags)
-        c.add_argument(f"--{name}", type=None if kind == "matrix" else int,
-                       help=f"{text} ({readers})")
-    c.add_argument(
-        "--out",
-        help="write the generator here and print the parameter document; "
-        "without it the matrix itself goes to stdout",
-    )
-
-    a = sub.add_parser("analyze", help="measure a generator matrix with the oracles")
-    a.set_defaults(handler=cmd_analyze)
-    a.add_argument("matrix", help="matrix file in the shared text format, or - for stdin")
-    a.add_argument("--min-dist-cap", type=_bounded_int(1), default=None,
-                   help="weight cap for the distance search")
-    a.add_argument("--coset-cap", type=_bounded_int(0, MAX_COSET_CAP),
-                   default=analyzer.DEFAULT_COSET_CAP,
-                   help=f"skip the covering radius above this volume (<= {MAX_COSET_CAP})")
-
-    t = sub.add_parser("density", help="print the packing-density table as CSV")
-    t.set_defaults(handler=cmd_density)
-    t.add_argument("--max-n", type=_bounded_int(2, 12), default=10, help="largest length (<= 12)")
-
-    x = sub.add_parser("transform", help="apply the sphere-to-box transform to a point stream")
-    x.set_defaults(handler=cmd_transform)
-    x.add_argument("--d", type=int, required=True, choices=(2, 4))
-    x.add_argument("--mode", choices=("cont", "disc"), required=True)
-    x.add_argument("--input", help="point file, one point per line (default stdin)")
-    return parser
 
 
 def _read_text(path: str) -> str:
@@ -336,12 +309,112 @@ def cmd_transform(args) -> int:
     return EXIT_OK
 
 
+#: subcommand -> (handler, help, positional, flags).  The positional is
+#: (name, add_argument keywords) or None; ``flags`` maps each flag name,
+#: without its "--", to its add_argument keywords.  ``build_parser`` hands
+#: the keywords to argparse; ``_plain_args`` reads type, choices, required
+#: and default from them, so no other keyword may change what a flag parses.
+COMMANDS = {
+    "construct": (cmd_construct, "build a generator matrix from a named family",
+                  ("family", {"choices": FAMILIES}), {
+        **{name: {"type": None if kind == "matrix" else int,
+                  "help": f"{text} ({', '.join(f for f, (names, *_) in FAMILIES.items() if name in names)})"}
+           for name, (kind, text) in CONSTRUCT_FLAGS.items()},
+        "out": {"help": "write the generator here and print the parameter document; "
+                "without it the matrix itself goes to stdout"},
+    }),
+    "analyze": (cmd_analyze, "measure a generator matrix with the oracles",
+                ("matrix", {"help": "matrix file in the shared text format, or - for stdin"}), {
+        "min-dist-cap": {"type": _bounded_int(1), "default": None,
+                         "help": "weight cap for the distance search"},
+        "coset-cap": {"type": _bounded_int(0, MAX_COSET_CAP), "default": analyzer.DEFAULT_COSET_CAP,
+                      "help": f"skip the covering radius above this volume (<= {MAX_COSET_CAP})"},
+    }),
+    "density": (cmd_density, "print the packing-density table as CSV", None, {
+        "max-n": {"type": _bounded_int(2, 12), "default": 10, "help": "largest length (<= 12)"},
+    }),
+    "transform": (cmd_transform, "apply the sphere-to-box transform to a point stream", None, {
+        "d": {"type": int, "required": True, "choices": (2, 4)},
+        "mode": {"choices": ("cont", "disc"), "required": True},
+        "input": {"help": "point file, one point per line (default stdin)"},
+    }),
+}
+
+
+def build_parser():
+    """The argparse parser of ``COMMANDS``, for every argv ``_plain_args``
+    declines: help, abbreviations, ``--flag=value``, usage errors."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="leelat",
+        description="construct, analyze and transform lattice codes in the "
+        "Lee/Manhattan metric",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (handler, text, positional, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.set_defaults(handler=handler)
+        if positional:
+            p.add_argument(positional[0], **positional[1])
+        for name, keywords in flags.items():
+            p.add_argument(f"--{name}", **keywords)
+    return parser
+
+
+def _plain_args(argv: list):
+    """The namespace argparse gives a plain ``argv``, or None for any other.
+
+    Plain is the subcommand, then its positional and exact ``--flag value``
+    pairs in any order, each flag at most once, with no value but a lone
+    "-" starting with "-".  Each value goes through its flag's type and
+    choices, and every required flag must be given; when a check fails the
+    answer is None too, and argparse reports the fault in its own words."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    handler, _, positional, flags = COMMANDS[argv[0]]
+    given, positionals = {}, []
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-") or word == "-":
+            positionals.append(word)
+            continue
+        name, value = word[2:], next(words, None)
+        if (not word.startswith("--") or name not in flags or name in given
+                or value is None or value.startswith("-") and value != "-"):
+            return None
+        given[name] = value
+    if len(positionals) != (positional is not None):
+        return None
+    specs = flags
+    if positional:
+        specs = {positional[0]: positional[1], **flags}
+        given[positional[0]] = positionals[0]
+    fields = {"command": argv[0], "handler": handler}
+    for name, spec in specs.items():
+        if name not in given:
+            if spec.get("required"):
+                return None
+            value = spec.get("default")
+        else:
+            try:
+                value = (spec.get("type") or str)(given[name])
+            except Exception:  # argparse parses the argv again and words the fault
+                return None
+            if "choices" in spec and value not in spec["choices"]:
+                return None
+        fields[name.replace("-", "_")] = value
+    return SimpleNamespace(**fields)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return e.code if isinstance(e.code, int) else EXIT_USAGE
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as e:
+            return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
         return args.handler(args)
     except UsageFault as e:

@@ -9,15 +9,18 @@ tuple), so neither the library's shell walk order nor its first-hit rule
 decides a leader.
 
 ``check_record`` holds the contract every leelat result type keeps.
+``reference_parser`` is the CLI's argparse declaration written out one
+``add_argument`` call per flag, not generated from ``cli.COMMANDS``.
 """
 
+import argparse
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
 import pytest
 
-from leelat import intlat
+from leelat import analyzer, cli, intlat
 
 
 def cofactor_det(rows):
@@ -171,3 +174,46 @@ def check_record(cls, fields, other, text):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
     assert repr(record) == text
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse parser, declared flag by flag: its help texts,
+    usage errors and namespaces are what ``cli.run`` must reproduce."""
+    parser = argparse.ArgumentParser(
+        prog="leelat",
+        description="construct, analyze and transform lattice codes in the "
+        "Lee/Manhattan metric",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    c = sub.add_parser("construct", help="build a generator matrix from a named family")
+    c.set_defaults(handler=cli.cmd_construct)
+    c.add_argument("family", choices=cli.FAMILIES)
+    for name, (kind, text) in cli.CONSTRUCT_FLAGS.items():
+        readers = ", ".join(fam for fam, (flags, *_) in cli.FAMILIES.items() if name in flags)
+        c.add_argument(f"--{name}", type=None if kind == "matrix" else int, help=f"{text} ({readers})")
+    c.add_argument(
+        "--out",
+        help="write the generator here and print the parameter document; "
+        "without it the matrix itself goes to stdout",
+    )
+
+    a = sub.add_parser("analyze", help="measure a generator matrix with the oracles")
+    a.set_defaults(handler=cli.cmd_analyze)
+    a.add_argument("matrix", help="matrix file in the shared text format, or - for stdin")
+    a.add_argument("--min-dist-cap", type=cli._bounded_int(1), default=None,
+                   help="weight cap for the distance search")
+    a.add_argument("--coset-cap", type=cli._bounded_int(0, cli.MAX_COSET_CAP),
+                   default=analyzer.DEFAULT_COSET_CAP,
+                   help=f"skip the covering radius above this volume (<= {cli.MAX_COSET_CAP})")
+
+    t = sub.add_parser("density", help="print the packing-density table as CSV")
+    t.set_defaults(handler=cli.cmd_density)
+    t.add_argument("--max-n", type=cli._bounded_int(2, 12), default=10, help="largest length (<= 12)")
+
+    x = sub.add_parser("transform", help="apply the sphere-to-box transform to a point stream")
+    x.set_defaults(handler=cli.cmd_transform)
+    x.add_argument("--d", type=int, required=True, choices=(2, 4))
+    x.add_argument("--mode", choices=("cont", "disc"), required=True)
+    x.add_argument("--input", help="point file, one point per line (default stdin)")
+    return parser

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from leelat import analyzer, cli, constructions, intlat, xform
 from leelat.errors import BoundViolationError, CapExceededError, IntegralityError
+
+from helpers import reference_parser
 
 
 def identity_text(n):
@@ -655,12 +658,154 @@ class TestTransform:
         assert err.startswith("error:") and "UTF-8" in err and err.count("\n") == 1
 
 
+def _captured(call):
+    """(exit code, stdout, stderr) of call(), an argparse exit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call()
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestParser:
     def test_unknown_family_exits_2(self):
         assert run_cli(["construct", "nosuch"]) == 2
 
     def test_unknown_command_exits_2(self):
         assert run_cli(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["analyze"],
+        ["analyze", "{m}", "--coset-cap", "-1"],
+        ["transform", "--d", "3", "--mode", "disc"],
+        ["construct", "nosuch"],
+        ["-h"],
+        ["construct", "-h"],
+        ["analyze", "--help"],
+        ["density", "-h"],
+        ["transform", "-h"],
+        ["analyze", "{m}", "--min-dist", "3"],
+        ["analyze", "{m}", "--coset-cap=5"],
+        ["analyze", "{m}", "--coset-cap", "5", "--coset-cap", "0"],
+        ["analyze", "-"],
+        ["analyze", "--coset-cap", "0", "{m}"],
+        ["transform", "--mode", "disc", "--d", "2"],
+        ["construct", "gn", "--n", "-3"],
+        ["construct", "gn", "--", "--n", "3"],
+        ["construct", "gn", "--o", "x"],
+    ], ids=repr)
+    def test_same_bytes_as_the_reference_parser(self, argv, tmp_path, monkeypatch):
+        """stdout, stderr and exit code equal those of the flag-by-flag
+        argparse declaration, for help, usage errors, abbreviations,
+        ``--flag=value``, repeated flags and "-" as stdin."""
+        matrix = tmp_path / "gn4.txt"
+        matrix.write_text("4 4\n1 0 0 3\n0 1 0 1\n0 0 1 3\n0 0 0 4\n")
+        argv = [a.format(m=matrix) for a in argv]
+        monkeypatch.setenv("COLUMNS", "80")
+        runs = []
+        for reference in (False, True):
+            if reference:  # every argv through the hand-written parser
+                monkeypatch.setattr(cli, "build_parser", reference_parser)
+                monkeypatch.setattr(cli, "_plain_args", lambda argv: None)
+            stdin = matrix.read_text() if "analyze" in argv else "1 0 0 0\n"
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            runs.append(_captured(lambda: cli.run(argv)))
+        assert runs[0] == runs[1]
+
+    def test_help_and_usage_exits(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run_cli(["-h"]) == 0
+        assert capsys.readouterr().out.startswith("usage: leelat [-h] {construct,analyze,density,transform}")
+        assert run_cli([]) == 2
+        assert capsys.readouterr().err.endswith(
+            "leelat: error: the following arguments are required: command\n")
+        assert run_cli(["transform", "--d", "2"]) == 2
+        assert capsys.readouterr().err.endswith(
+            "leelat transform: error: the following arguments are required: --mode\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "gn", "--n", "6", "--out", "-"],
+        ["construct", "--order", "8", "hadamard"],
+        ["construct", "kronecker", "--a", "x.txt", "--b", "-"],
+        ["analyze", "m.txt"],
+        ["analyze", "-", "--min-dist-cap", "4", "--coset-cap", "0"],
+        ["density"],
+        ["density", "--max-n", "12"],
+        ["transform", "--d", "4", "--mode", "disc", "--input", "p.txt"],
+    ], ids=repr)
+    def test_plain_argv_skips_argparse(self, argv):
+        args = cli._plain_args(argv)
+        assert args is not None and vars(args) == vars(reference_parser().parse_args(argv))
+
+
+#: values that fail some flag's type or choices and pass others'
+_VALUES = ["0", "2", "3", "4", "7", "12", "13", "04", " 4", "+2", "x", "", "10000001", "-",
+           "m.txt", "nosuch", "cont", "disc"]
+#: words a defect inserts: help, "--", negative numbers, a short flag,
+#: --flag=value forms, and every subcommand's exact flags
+_DASHED = ["--", "-h", "--help", "-1", "-4", "-n", "--d=2", "--coset-cap=5", "--max-n=7", "--mode=disc",
+           *sorted({f"--{name}" for *_, flags in cli.COMMANDS.values() for name in flags})]
+
+
+def _good(keywords):
+    """A value that passes the checks of the argument ``keywords`` declare."""
+    return st.sampled_from([str(c) for c in keywords.get("choices", ())]
+                           or (["2", "4", "7"] if keywords.get("type") else ["m.txt", "-", "7"]))
+
+
+@st.composite
+def _argv(draw):
+    """A valid plain argv of one subcommand, its required flags and up to
+    three others in random order, then at most one defect: a flag cut to
+    its first letter (--o is ambiguous in construct), a value from
+    _VALUES, a dropped or repeated flag, a --flag=value pair, a flag
+    without its value, or an inserted dashed word."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    _, _, positional, flags = cli.COMMANDS[command]
+    required = [name for name, keywords in flags.items() if keywords.get("required")]
+    names = required + draw(st.lists(st.sampled_from([n for n in flags if n not in required]),
+                                     unique=True, max_size=3))
+    pieces = [[f"--{name}", draw(_good(flags[name]))] for name in names]
+    if positional:
+        pieces.append([draw(_good(positional[1]))])
+    pieces = draw(st.permutations(pieces))
+    defect = draw(st.sampled_from([None, "prefix", "value", "drop", "repeat", "equals", "bare", "insert"]))
+    pairs = [p for p in pieces if len(p) == 2]
+    if defect == "value" and pieces:
+        draw(st.sampled_from(pieces))[-1] = draw(st.sampled_from(_VALUES))
+    elif defect == "insert" or defect and not pairs:
+        pieces.insert(draw(st.integers(0, len(pieces))), [draw(st.sampled_from(_DASHED))])
+    elif defect:
+        pair = draw(st.sampled_from(pairs))
+        if defect == "prefix":
+            pair[0] = pair[0][:3]
+        elif defect == "drop":
+            pieces.remove(pair)
+        elif defect == "repeat":
+            pieces.append([pair[0], draw(st.sampled_from(_VALUES))])
+        elif defect == "equals":
+            pair[:] = [f"{pair[0]}={pair[1]}"]
+        elif defect == "bare":
+            pair.pop()
+    return [command, *chain.from_iterable(pieces)]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(_argv())
+def test_plain_args_agree_with_argparse(argv):
+    """Whenever the plain path reads an argv, argparse reads it to the same
+    namespace, and does so without a usage error."""
+    args = cli._plain_args(argv)
+    if args is not None:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                expected = vars(cli.build_parser().parse_args(argv))
+            except SystemExit:
+                raise AssertionError(f"read without argparse, which refuses it: {err.getvalue()}") from None
+        assert vars(args) == expected
 
 
 BIG = 10**2500
@@ -754,17 +899,40 @@ def test_exit_code_contract_fuzz(command, text, other):
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
 
-def test_import_adds_no_introspection_modules():
-    """``import leelat.cli`` loads none of dataclasses, inspect, ast, dis and
-    tokenize.  It runs in a subprocess because pytest imports inspect and
-    ast itself, and it is compared with a bare interpreter in the same
-    environment because ``site`` may import modules of its own."""
+def _added_modules(code):
+    """Modules that ``code`` leaves in sys.modules past a bare interpreter's,
+    in the same environment, because ``site`` may import modules of its
+    own.  It runs in a subprocess because pytest imports inspect, ast and
+    argparse itself."""
 
     def modules(code):
         run = subprocess.run([sys.executable, "-c", code + "import sys; print(*sys.modules)"],
                              capture_output=True, check=True, text=True)
         return set(run.stdout.split())
 
-    added = modules("import leelat.cli; ") - modules("")
+    return modules(code) - modules("")
+
+
+def test_import_adds_no_introspection_modules():
+    """``import leelat.cli`` loads none of dataclasses, inspect, ast, dis,
+    tokenize, argparse and gettext."""
+    added = _added_modules("import leelat.cli; ")
     assert "leelat.cli" in added
-    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "argparse", "gettext"}
+
+
+def test_successful_runs_load_no_argparse(tmp_path):
+    """A valid argv of each subcommand runs to exit 0 without argparse, and
+    so without the gettext and locale it loads."""
+    matrix, points = tmp_path / "gn4.txt", tmp_path / "pts.txt"
+    points.write_text("1 0 0 0\n")
+    runs = [["construct", "gn", "--n", "4", "--out", str(matrix)], ["analyze", str(matrix)],
+            ["density", "--max-n", "4"], ["transform", "--d", "2", "--mode", "disc", "--input", str(points)]]
+    code = ("import contextlib, io\nfrom leelat import cli\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        if cli.run(argv):\n"
+            "            raise SystemExit(f'{argv} failed')\n")
+    added = _added_modules(code)
+    assert "leelat.cli" in added
+    assert not added & {"argparse", "gettext", "locale"}

@@ -42,12 +42,17 @@ MAX_LENGTH = 256
 MAX_COSET_CAP = 10**7
 
 
-#: lines per parsing pass of ``transform``'s input: a pass holds a string
-#: of about 50 bytes for every token of its lines, so a short pass keeps
-#: that small (parsing 1500 lines of 16 coordinates took the same time in
-#: passes of 64 lines as of 256, on a 2-core x86-64 VM); the memo keeps one
-#: string per distinct token until the parse returns
-READ_LINES = 64
+#: characters per parsing pass of ``transform``'s input; a pass ends at the
+#: first "\n" past them, so a text with no later "\n" is one pass.  A pass
+#: holds a string of about 50 bytes for every token of its lines, and the
+#: memo one per distinct token until the parse returns.  Besides these a run
+#: holds only the input text, the coordinates of one part block and the
+#: formatted output, which is written once the last line has parsed.  On
+#: the benchmark's point streams (2-core x86-64 VM, Python 3.11), passes of
+#: 1024, 2048 and 4096 parsed 2000 lines of 16 coordinates in the same
+#: time, 3.2-3.3 ms, and a forked run on them grew its RSS by 220, 244
+#: and 344 KB.
+READ_CHARS = 1024
 
 
 class UsageFault(Exception):
@@ -210,6 +215,8 @@ def _parameter_doc(fam: str, lat: intlat.Lattice, values: list) -> dict:
 
 
 def cmd_construct(args) -> int:
+    if args.out == "-":  # "-" is stdin to every reader, so it names no output file
+        raise UsageFault("--out - names no file; leave --out out to print the matrix on stdout")
     lat, values = _construct_lattice(args)
     text = intlat.format_lattice(lat)
     if not args.out:  # the parameter document is built only to be printed
@@ -239,34 +246,60 @@ def cmd_density(args) -> int:
     return EXIT_OK
 
 
-def _read_values(text: str, length: int) -> list:
-    """Every coordinate of the points of ``text``, one point a line and
-    blank lines skipped, flat and in input order.  The whole text is read
-    before the first image is made, and a fault names its line.
+def _read_blocks(text: str, length: int):
+    """Yield the points of ``text``, one point a line and blank lines
+    skipped, in input order, ``xform.BLOCK`` at a time as coordinate
+    columns: each full block once its last line has parsed, and the part
+    block left over at the end.  A bad line raises, naming its line, before
+    any block that follows it is yielded.
 
-    The lines go through C-level passes ``READ_LINES`` at a time: split,
-    one length check, ``int`` only on tokens no earlier line held (the
-    memo).  Only a pass that faults is walked line by line
-    (``_line_fault``)."""
-    lines = text.splitlines()
+    The text goes through passes of about ``READ_CHARS`` characters, each
+    cut just after a "\\n", so that the passes split into the lines the
+    whole text would (``_read_pass``).  Between blocks only the coordinates
+    of a part block are kept."""
+    step = length * xform.BLOCK
     values, memo = [], {}  # memo: each token seen -> its int
-    for start in range(0, len(lines), READ_LINES):
-        rows = list(filter(None, map(str.split, lines[start : start + READ_LINES])))
-        tokens = list(chain.from_iterable(rows))
-        new = set(tokens).difference(memo)
+    pos = lineno = 0
+    while pos < len(text):
+        cut = text.find("\n", pos + READ_CHARS) + 1 or len(text)
+        lineno += _read_pass(text[pos:cut], lineno, length, values, memo)
+        pos = cut
+        while len(values) >= step or pos == len(text) and values:
+            block = [values[j:step:length] for j in range(length)]
+            del values[:step]
+            yield block
+
+
+def _read_pass(piece: str, before: int, length: int, values: list, memo: dict) -> int:
+    """Append the coordinates of the lines of ``piece``, which follow line
+    ``before``, to ``values``, and return how many lines it has.
+
+    C-level steps over the whole pass: split, one length check, then each
+    token's int from ``memo``.  ``int`` runs only in a pass that holds a
+    token no earlier pass did, and only on those tokens.  Only a pass that
+    faults is walked line by line (``_line_fault``)."""
+    lines = piece.splitlines()
+    rows = list(map(str.split, lines))
+    if not {0, length}.issuperset(map(len, rows)):  # a blank line, or a point
+        _line_fault(lines, before, length)
+    known = len(values)
+    try:
+        values += map(memo.__getitem__, chain.from_iterable(rows))
+    except KeyError:  # a token no earlier pass held
+        del values[known:]
+        new = set(chain.from_iterable(rows)).difference(memo)
         try:
-            if set(map(len, rows)) - {length}:
-                raise ValueError
             memo.update(zip(new, map(int, new)))
-        except ValueError:  # a short or long line, a non-integer, or past the int-string limit
-            _line_fault(lines, start, length)
-        values += map(memo.__getitem__, tokens)
-    return values
+        except ValueError:  # a non-integer, or past the int-string limit
+            _line_fault(lines, before, length)
+        values += map(memo.__getitem__, chain.from_iterable(rows))
+    return len(lines)
 
 
-def _line_fault(lines: list, start: int, length: int) -> None:
-    # raise the fault of the first bad line of the pass at lines[start]
-    for lineno, raw in enumerate(lines[start : start + READ_LINES], start=start + 1):
+def _line_fault(lines: list, before: int, length: int) -> None:
+    # raise the fault of the first bad line of the pass ``lines``, which
+    # follows line ``before``
+    for lineno, raw in enumerate(lines, start=before + 1):
         line = raw.strip()
         if not line:
             continue
@@ -287,11 +320,10 @@ def cmd_transform(args) -> int:
         h, scale = spec.h, 1
     else:
         h, scale = xform.transform_matrix(args.d), args.d
-    n = h.order
-    values = _read_values(_read_text(args.input or "-"), n)
     text = {}  # each distinct value met in an image -> str(Fraction(value, scale))
-    out = []
-    for cols in xform.value_blocks(values, n):
+    out = []  # one string per block, each of its lines ending in "\n"
+    blocks = _read_blocks(_read_text(args.input or "-"), h.order)
+    for cols in blocks:
         if args.mode == "disc":
             image = xform.discrete_columns(spec, cols)
         else:
@@ -300,12 +332,20 @@ def cmd_transform(args) -> int:
             for v in set().union(*image).difference(text):
                 text[v] = str(Fraction(v, scale))
         except ValueError:  # str() refuses a number past the int-string limit
-            for p in zip(*image):  # report the first point, in input order, that fails
-                intlat.check_digits("image coordinate", [Fraction(v, scale).numerator for v in p])
+            try:  # name the first point, in input order, that fails
+                for p in zip(*image):
+                    intlat.check_digits("image coordinate", [Fraction(v, scale).numerator for v in p])
+            except DigitLimitError:
+                for _ in blocks:  # parse the rest first: a bad line anywhere wins
+                    pass
+                raise
             raise
         words = [list(map(text.__getitem__, col)) for col in image]
-        out.append("\n".join(map(" ".join, zip(*words))))
-    sys.stdout.write("\n".join(out) + ("\n" if out else ""))
+        del image, cols  # freed before the block's lines are made
+        rows = list(map(" ".join, zip(*words)))
+        rows.append("")
+        out.append("\n".join(rows))
+    sys.stdout.writelines(out)
     return EXIT_OK
 
 

@@ -6,7 +6,8 @@ import random
 import subprocess
 import sys
 import tempfile
-from itertools import chain
+import tracemalloc
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings
@@ -144,6 +145,19 @@ class TestConstruct:
         assert run_cli(["construct", "gn", "--n", "6", "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
         assert not (tmp_path / "no").exists()
+
+    @pytest.mark.parametrize("out", [["--out", "-"], ["--out=-"]], ids=["plain", "argparse"])
+    def test_out_dash_exits_2(self, out, tmp_path, capsys, monkeypatch):
+        """"-" means stdin to every reader, so ``--out -`` is refused before
+        anything is built or written, on the plain-argv path and the
+        argparse path alike."""
+        argv = ["construct", "gn", "--n", "3", *out]
+        assert (cli._plain_args(argv) is None) == (out == ["--out=-"])
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: --out - names no file; leave --out out to print the matrix on stdout\n")
+        assert os.listdir(tmp_path) == []
 
     def test_gij_parameters(self, tmp_path, capsys):
         out = tmp_path / "g32.txt"
@@ -513,6 +527,21 @@ class TestDensity:
         assert a == b and a.startswith(b"n,construction")
 
 
+#: ways to end the lines of a point stream, each joining a list of lines
+#: into text; those that put a line break other than "\n" in each empty
+#: line give ``str.splitlines`` one more (blank) line there
+LINE_ENDS = {
+    "lf": lambda lines: "".join(line + "\n" for line in lines),
+    "crlf": lambda lines: "".join(line + "\r\n" for line in lines),
+    "form-feed": lambda lines: "".join((line or " \x0c ") + "\n" for line in lines),
+    "u2028": lambda lines: "".join((line or "\u2028") + "\n" for line in lines),
+}
+
+#: parsing pass sizes: passes of one or two lines, which cut every run of
+#: blank lines, and the default
+READ_CHARS = (1, cli.READ_CHARS)
+
+
 class TestTransform:
     def test_disc_worked_example(self, capsys, monkeypatch):
         assert run_cli(
@@ -576,13 +605,21 @@ class TestTransform:
     ])
     def test_late_fault_names_its_line(self, bad, message, capsys, monkeypatch):
         """Past the first block and parsing pass, after blank lines that the
-        line numbers still count, a fault on line 300 names line 300."""
+        line numbers still count, a fault names the line that splitting the
+        whole text once gives it: line 300 with "\\n" or "\\r\\n" ends, later
+        when its blank lines hold other line breaks.  Passes of one or two
+        lines cut the run of blank lines many times."""
         lines = ["1 0 0 0"] * 200 + [""] * 20 + ["  "] * 5 + ["-3 5 0 7"] * 74 + [bad] + ["0 1 1 1"] * 10
         assert lines[299] == bad
         argv = ["transform", "--d", "2", "--mode", "disc"]
-        assert run_cli(argv, stdin="\n".join(lines) + "\n", monkeypatch=monkeypatch) == 3
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith(f"error: line 300: {message}") and err.count("\n") == 1
+        for ends, read_chars in product(LINE_ENDS, READ_CHARS):
+            stdin = LINE_ENDS[ends](lines)
+            lineno = stdin.splitlines().index(bad) + 1
+            assert (lineno == 300) == (ends in ("lf", "crlf"))
+            monkeypatch.setattr(cli, "READ_CHARS", read_chars)
+            assert run_cli(argv, stdin=stdin, monkeypatch=monkeypatch) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: line {lineno}: {message}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("first, second, message", [
         ("1 0 0", "1 x 0 0", "expected 4 coordinates, got 3"),
@@ -597,30 +634,69 @@ class TestTransform:
         assert capsys.readouterr() == ("", f"error: line 71: {message}\n")
 
     def test_late_format_fault_beats_early_long_image(self, capsys, monkeypatch):
-        """The whole input is checked before the first image is made: a bad
-        line 1400 is reported, not the over-long image of line 1."""
-        lines = [" ".join(["9" * 4300] * 16)] + ["1 " + "0 " * 14 + "-1"] * 1398 + ["1 2 x"]
-        for mode in ("disc", "cont"):
+        """Nothing is printed before the last line has parsed.  An over-long
+        image in the first, second or fourth block of 256 points gives the
+        one ``image coordinate too long`` line when the rest is clean, and
+        a bad line 1400 still wins over it."""
+        long = " ".join(["9" * 4300] * 16)
+        for mode, at in product(("disc", "cont"), (0, 300, 1000)):
             argv = ["transform", "--d", "4", "--mode", mode]
-            assert run_cli(argv, stdin="\n".join(lines) + "\n", monkeypatch=monkeypatch) == 3
-            assert capsys.readouterr() == ("", "error: line 1400: non-integer coordinate\n")
+
+            def fault(lines):
+                assert run_cli(argv, stdin="\n".join(lines) + "\n", monkeypatch=monkeypatch) == 3
+                out, err = capsys.readouterr()
+                assert out == "" and err.count("\n") == 1
+                return err
+
+            lines = ["1 " + "0 " * 14 + "-1"] * 1400
+            lines[at] = long
+            assert fault(lines) == fault([long])
+            assert fault([long]).startswith("error: image coordinate too long (4301 digits")
+            lines[-1] = "1 2 x"
+            assert fault(lines) == "error: line 1400: non-integer coordinate\n"
 
     def test_output_is_the_same_for_every_block_size(self, capsys, monkeypatch):
         """Blocks of 255, 256 and 257 points print the same bytes, with some
-        points past the 64-bit fields, so that blocks change field width."""
+        points past the 64-bit fields, so that blocks change field width.
+        Every way of ending the lines, and passes that cut each run of
+        blank lines, print what one "\\n"-ended pass over the text prints."""
         rng = random.Random(23)
         pts = [[rng.randint(-60, 60) for _ in range(16)] for _ in range(700)]
         for i in (3, 254, 255, 256, 257, 511, 699):
             pts[i][i % 16] = rng.choice([1 << 59, -(1 << 63), 1 << 64, -(10**30)])
-        stdin = "".join(" ".join(map(str, p)) + "\n" for p in pts)
-        for mode in ("disc", "cont"):
-            outs = set()
-            for block in (255, 256, 257):
-                monkeypatch.setattr(xform, "BLOCK", block)
-                assert run_cli(["transform", "--d", "4", "--mode", mode], stdin=stdin, monkeypatch=monkeypatch) == 0
-                outs.add(capsys.readouterr().out)
-            [out] = outs
-            assert out.count("\n") == 700
+        lines = [" ".join(map(str, p)) for p in pts]
+        for i in (0, 255, 256, 600):
+            lines[i:i] = [""] * 5
+        argv = {mode: ["transform", "--d", "4", "--mode", mode] for mode in ("disc", "cont")}
+        monkeypatch.setattr(cli, "READ_CHARS", 10**6)
+        expected = {}
+        for mode in argv:
+            assert run_cli(argv[mode], stdin=LINE_ENDS["lf"](lines), monkeypatch=monkeypatch) == 0
+            expected[mode] = capsys.readouterr().out
+            assert expected[mode].count("\n") == 700
+        for mode, ends, read_chars, block in product(argv, LINE_ENDS, READ_CHARS, (255, 256, 257)):
+            monkeypatch.setattr(cli, "READ_CHARS", read_chars)
+            monkeypatch.setattr(xform, "BLOCK", block)
+            assert run_cli(argv[mode], stdin=LINE_ENDS[ends](lines), monkeypatch=monkeypatch) == 0
+            assert capsys.readouterr().out == expected[mode]
+
+    @pytest.mark.parametrize("mode", ["disc", "cont"])
+    def test_peak_memory_of_a_long_stream(self, mode, monkeypatch):
+        """A 20,000-point d=4 stream is held as its text, one parsing pass
+        and the formatted output: the traced peak of a run stays below 3.5
+        times the input's length."""
+        rng = random.Random(28)
+        stdin = "".join(" ".join(str(rng.randint(-60, 60)) for _ in range(16)) + "\n" for _ in range(20000))
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            monkeypatch.setattr("sys.stdout", sink)
+            tracemalloc.start()
+            try:
+                assert cli.run(["transform", "--d", "4", "--mode", mode]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 3.5 * len(stdin)
 
     def test_file_input(self, tmp_path, capsys):
         f = tmp_path / "pts.txt"

@@ -28,7 +28,7 @@ DEFAULT_POINT_BUDGET = 20_000_000
 DEFAULT_COSET_CAP = 10**6
 
 
-def _tree_distance(lat: Lattice, cap: int | None = None, point_budget: int = DEFAULT_POINT_BUDGET) -> int:
+def _tree_distance(lat: Lattice, cap: int | None = None) -> int:
     """The distance tree, which ``_distance`` runs above ``DEFAULT_COSET_CAP`` cosets.
 
     Depth-first enumeration of lattice vectors along the lower-triangular
@@ -38,10 +38,11 @@ def _tree_distance(lat: Lattice, cap: int | None = None, point_budget: int = DEF
     absolute value first.  Of each pair x, -x only the one whose last
     nonzero coordinate is positive is visited.  The weight bound deepens
     w = 1, 2, ... up to ``cap`` (``DEFAULT_HARD_CAP`` without one), and
-    each pass looks for a vector of weight exactly w.  ``point_budget``
-    caps the search nodes over all passes; once it is spent the search
-    raises BudgetExhaustedError, the InconclusiveError that, unlike an
-    exhausted cap, leaves some weight up to the cap unsearched.
+    each pass looks for a vector of weight exactly w.  The node budget
+    ``DEFAULT_POINT_BUDGET``, read once per call, caps the search nodes
+    over all passes; once it is spent the search raises
+    BudgetExhaustedError, the InconclusiveError that, unlike an exhausted
+    cap, leaves some weight up to the cap unsearched.
     """
     h = lat.hnf.entries
     n = lat.n
@@ -51,13 +52,14 @@ def _tree_distance(lat: Lattice, cap: int | None = None, point_budget: int = DEF
     below = [tuple((k, v) for k, v in enumerate(h[j][:j]) if v) for j in range(n)]
     partial = [0] * n  # contribution of the rows chosen so far
     limit = cap if cap is not None else DEFAULT_HARD_CAP
+    budget = DEFAULT_POINT_BUDGET
     nodes = 0
     w = 0
 
     def exhausted():
         return BudgetExhaustedError(
             f"search budget exhausted: {nodes} nodes visited, budget "
-            f"{point_budget}, weights <= {w - 1} fully searched"
+            f"{budget}, weights <= {w - 1} fully searched"
         )
 
     def search(j, rem, free):
@@ -74,7 +76,7 @@ def _tree_distance(lat: Lattice, cap: int | None = None, point_budget: int = DEF
                     for i, a in below[k]:
                         p[i] -= q * a
             nodes += j - k
-            if nodes > point_budget:
+            if nodes > budget:
                 raise exhausted()
             return r == 0
         d = diag[j]
@@ -87,7 +89,7 @@ def _tree_distance(lat: Lattice, cap: int | None = None, point_budget: int = DEF
             r = t % d
             values = sorted(range(r - (r + rem) // d * d, rem + 1, d), key=abs)
         nodes += len(values)
-        if nodes > point_budget:
+        if nodes > budget:
             raise exhausted()
         if j == 1:
             # x_0 is forced: |x_0| = rem - |x_1|, in one class mod diag[0]
@@ -121,7 +123,7 @@ def _tree_distance(lat: Lattice, cap: int | None = None, point_budget: int = DEF
                 return w
     raise InconclusiveError(
         f"no nonzero lattice vector of weight <= {limit}; raise the cap "
-        f"({nodes} nodes visited, budget {point_budget})"
+        f"({nodes} nodes visited, budget {budget})"
     )
 
 
@@ -139,7 +141,7 @@ class CosetTable(namedtuple("CosetTable", "leaders rho")):
         return len(self.leaders)
 
 
-def coset_table(lat: Lattice, cap: int = DEFAULT_COSET_CAP) -> CosetTable:
+def coset_table(lat: Lattice) -> CosetTable:
     """Assign each coset its minimum-weight leader.
 
     Shells are walked in increasing weight and lexicographic order inside
@@ -149,8 +151,8 @@ def coset_table(lat: Lattice, cap: int = DEFAULT_COSET_CAP) -> CosetTable:
     where the last coset is first reached; that weight is ``rho``.
     """
     volume = lat.volume
-    if volume > cap:
-        raise CapExceededError(f"volume {volume} exceeds the coset cap {cap}")
+    if volume > DEFAULT_COSET_CAP:
+        raise CapExceededError(f"volume {volume} exceeds the coset cap {DEFAULT_COSET_CAP}")
     leaders = {}
     w = 0
     while True:
@@ -255,12 +257,12 @@ def _cover(reached: int, full: int, steps: list, k: int) -> int:
     return k
 
 
-def covering_radius(lat: Lattice, cap: int = DEFAULT_COSET_CAP) -> int:
+def covering_radius(lat: Lattice) -> int:
     """The least ρ whose Lee ball meets every coset of the lattice: the
     sweep of Z^n/L (``_coset_moves``, ``_cover``) from the zero coset."""
     volume = lat.volume
-    if volume > cap:
-        raise CapExceededError(f"volume {volume} exceeds the coset cap {cap}")
+    if volume > DEFAULT_COSET_CAP:
+        raise CapExceededError(f"volume {volume} exceeds the coset cap {DEFAULT_COSET_CAP}")
     return _cover(1, *_coset_moves(lat), 0)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from types import SimpleNamespace
 
@@ -317,17 +318,15 @@ def cmd_transform(args) -> int:
     # disc prints the involution's image, cont prints H.x / d
     if args.mode == "disc":
         spec = xform.TransformSpec.build(args.d)
-        h, scale = spec.h, 1
+        h, scale, columns = spec.h, 1, partial(xform.discrete_columns, spec)
     else:
         h, scale = xform.transform_matrix(args.d), args.d
+        columns = partial(xform.hadamard_columns, h)
     text = {}  # each distinct value met in an image -> str(Fraction(value, scale))
     out = []  # one string per block, each of its lines ending in "\n"
     blocks = _read_blocks(_read_text(args.input or "-"), h.order)
     for cols in blocks:
-        if args.mode == "disc":
-            image = xform.discrete_columns(spec, cols)
-        else:
-            image = xform.hadamard_columns(h, cols)
+        image = columns(cols)
         try:
             for v in set().union(*image).difference(text):
                 text[v] = str(Fraction(v, scale))

@@ -84,6 +84,8 @@ def weight_shell(n: int, w: int):
     lexicographic order.  Each point steps in place to its successor,
     starting from (-w, 0, ..., 0), so the walk holds one point and does
     not recurse at any n."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     if w < 0:
         return
     point = [0] * n
@@ -111,16 +113,16 @@ def weight_shell(n: int, w: int):
         point[j + 1] = abs(v + 1) - abs(v) - s
 
 
-def _check_cap(shape: str, size: int, cap: int) -> None:
-    if size > cap:
-        raise CapExceededError(f"{shape} has {size} points, cap is {cap}")
+def _check_cap(shape: str, size: int) -> None:
+    if size > DEFAULT_CAP:
+        raise CapExceededError(f"{shape} has {size} points, cap is {DEFAULT_CAP}")
 
 
-def sphere_center(n: int, radius: int, center=None, cap: int = DEFAULT_CAP) -> tuple:
+def sphere_center(n: int, radius: int, center=None) -> tuple:
     """``center`` (default the origin) of a walk over the Lee sphere of the
     given radius in Z^n, checked to have n coordinates, each an int, and the
-    sphere to hold at most ``cap`` points."""
-    _check_cap("sphere", lee_sphere_size(n, radius), cap)
+    sphere to hold at most ``DEFAULT_CAP`` points."""
+    _check_cap("sphere", lee_sphere_size(n, radius))
     if center is None:
         return (0,) * n
     if len(center) != n:
@@ -131,9 +133,9 @@ def sphere_center(n: int, radius: int, center=None, cap: int = DEFAULT_CAP) -> t
     return center
 
 
-def enumerate_sphere(n: int, radius: int, center=None, cap: int = DEFAULT_CAP) -> set:
+def enumerate_sphere(n: int, radius: int, center=None) -> set:
     """The exact point set of the Lee sphere of the given radius."""
-    center = sphere_center(n, radius, center, cap)
+    center = sphere_center(n, radius, center)
     points = set()
     for w in range(radius + 1):
         for p in weight_shell(n, w):
@@ -141,13 +143,13 @@ def enumerate_sphere(n: int, radius: int, center=None, cap: int = DEFAULT_CAP) -
     return points
 
 
-def enumerate_anticode_odd(n: int, radius: int, cap: int = DEFAULT_CAP) -> set:
+def enumerate_anticode_odd(n: int, radius: int) -> set:
     """Grow the odd-diameter anticode from the seed pair {0, e_1}.
 
     The seed is fixed for determinism; translation moves the shape but not
     its size or diameter.
     """
-    _check_cap("anticode", anticode_size_odd(n, radius), cap)
+    _check_cap("anticode", anticode_size_odd(n, radius))
     e1 = tuple(1 if i == 0 else 0 for i in range(n))
     points = {(0,) * n, e1}
     for _ in range(radius):

@@ -49,28 +49,18 @@ class RadicalVector(namedtuple("RadicalVector", "nums radicand")):
 BLOCK = 256
 
 
-def value_blocks(values: list, n: int):
-    """Yield the points whose coordinates ``values`` lists flat, ``n`` to a
-    point, in input order, in blocks of at most ``BLOCK`` held as
-    coordinate columns: column j of a block lists the j-th coordinates of
-    its points.  ``hadamard_columns`` and ``discrete_columns`` pack each
-    block in 64-bit fields while its coordinates stay below 2^(63-g) in
-    size, g = n.bit_length() guard bits, and in wider fields otherwise
-    (``_packed``)."""
-    step = n * BLOCK
-    for start in range(0, len(values), step):
-        block = values[start : start + step]
-        yield [block[j::n] for j in range(n)]
-
-
 def column_blocks(points, n: int):
-    """``value_blocks`` of the points of length ``n``, read ``BLOCK`` at a
-    time; a point of another length raises."""
+    """Yield the points of length ``n``, in input order, in blocks of at most
+    ``BLOCK`` held as coordinate columns: column j of a block lists the j-th
+    coordinates of its points; a point of another length raises.
+    ``hadamard_columns`` and ``discrete_columns`` pack each block in 64-bit
+    fields while its coordinates stay below 2^(63-g) in size, g =
+    n.bit_length() guard bits, and in wider fields otherwise (``_packed``)."""
     points = iter(points)
     while block := list(islice(points, BLOCK)):
         if any(len(p) != n for p in block):
             raise DimensionError("point length disagrees with the transform order")
-        yield from value_blocks(list(chain.from_iterable(block)), n)
+        yield list(zip(*block))
 
 
 class _Lanes:
@@ -318,7 +308,10 @@ def continuous_box(h: HadamardMatrix, radius: int) -> ContinuousBoxReport:
     inequality; here it is measured exactly over the full sphere, from
     joined per-coordinate summaries (``_sphere_box`` with d = 1, one class), and
     the extreme point radius*e_1 is confirmed to attain it.  A sphere of
-    more than ``metric.DEFAULT_CAP`` points raises ``CapExceededError``.
+    more than ``metric.DEFAULT_CAP`` points raises ``CapExceededError``;
+    that cap is a size guard only, since the cost follows the summary
+    entries, here one class per weight, not the sphere points: radius 60
+    at order 4 counts 8,940,161 points from summaries of at most 61 entries.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
@@ -468,7 +461,9 @@ def discrete_box(spec: TransformSpec, radius: int, center=None) -> DiscreteBoxRe
     The box is computed exactly, not sampled: ``_sphere_box`` joins
     per-coordinate summaries by weight and residue class and reads each
     class's stored offset once, so no sphere point is mapped.  Spheres
-    of more than ``metric.DEFAULT_CAP`` points raise ``CapExceededError``."""
+    of more than ``metric.DEFAULT_CAP`` points raise ``CapExceededError``;
+    that cap is a size guard only, since the cost follows the summary
+    entries (weights times residue classes), not the sphere points."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
     lo, hi, count = _sphere_box(spec.h.matrix, radius, center, spec.d, spec.cosets)

@@ -59,15 +59,16 @@ class TestMinDistance:
         with pytest.raises(InconclusiveError):
             analyzer.min_distance(constructions.gn(3), cap=2)
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
+        monkeypatch.setattr(analyzer, "DEFAULT_POINT_BUDGET", 100)
         with pytest.raises(InconclusiveError):
-            analyzer._tree_distance(
-                hadamard.hadamard_code(hadamard.sylvester(3)), point_budget=100
-            )
+            analyzer._tree_distance(hadamard.hadamard_code(hadamard.sylvester(3)))
 
-    def test_inconclusive_messages_say_how_far(self):
-        with pytest.raises(InconclusiveError) as e:
-            analyzer._tree_distance(constructions.gn(6), point_budget=100)
+    def test_inconclusive_messages_say_how_far(self, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(analyzer, "DEFAULT_POINT_BUDGET", 100)
+            with pytest.raises(InconclusiveError) as e:
+                analyzer._tree_distance(constructions.gn(6))
         assert "nodes visited, budget 100, weights <= 2 fully searched" in str(e.value)
         with pytest.raises(InconclusiveError) as e:
             analyzer._tree_distance(constructions.gn(3), cap=2)
@@ -182,9 +183,10 @@ class TestCosetTable:
             prod *= s
         assert prod == lat.volume == table.size
 
-    def test_volume_cap(self):
+    def test_volume_cap(self, monkeypatch):
+        monkeypatch.setattr(analyzer, "DEFAULT_COSET_CAP", 10)
         with pytest.raises(CapExceededError):
-            analyzer.coset_table(constructions.gn(6), cap=10)
+            analyzer.coset_table(constructions.gn(6))
 
     def test_no_recursion_at_n_1200(self):
         assert analyzer.coset_table(diag_2_lattice(1200)).rho == 1
@@ -351,9 +353,10 @@ class TestCoveringRadius:
     def test_no_recursion_at_n_1200(self):
         assert analyzer.covering_radius(diag_2_lattice(1200)) == 1
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(analyzer, "DEFAULT_COSET_CAP", 10)
         with pytest.raises(CapExceededError):
-            analyzer.covering_radius(constructions.gn(6), cap=10)
+            analyzer.covering_radius(constructions.gn(6))
 
     @pytest.mark.parametrize("make, n, v", [(cyclic_lattice, 64, 10**6), (two_digit_lattice, 32, 1000)])
     def test_memory_at_a_million_cosets(self, make, n, v):

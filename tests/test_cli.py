@@ -281,9 +281,7 @@ class TestConstruct:
         f = tmp_path / "h12.txt"
         assert run_cli(["construct", "hadamard", "--order", "12", "--out", str(f)]) == 0
         capsys.readouterr()
-        search = analyzer._tree_distance
-        monkeypatch.setattr(analyzer, "_tree_distance",
-                            lambda lat, cap: search(lat, cap, point_budget=100))
+        monkeypatch.setattr(analyzer, "DEFAULT_POINT_BUDGET", 100)
         assert run_cli(["construct", "double", "--input", str(f)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("inconclusive: search budget exhausted") and len(err.splitlines()) == 1

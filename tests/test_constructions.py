@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leelat import analyzer, cli, constructions, hadamard, intlat, metric, xform
 from leelat.analyzer import CertificateKind
-from leelat.errors import DimensionError, SingularMatrixError
+from leelat.errors import DimensionError, LatticeError, SingularMatrixError
 
 from helpers import check_record, lee_code_min_distance
 
@@ -353,6 +355,7 @@ REJECTIONS = {
     "Lattice": (lambda: intlat.Lattice([[1, 2]]), DimensionError, "generator matrix must be square"),
     "lee_dist": (lambda: metric.lee_dist((0, 0), (0,), 5), DimensionError, "points have different lengths"),
     "lee_sphere_size": (lambda: metric.lee_sphere_size(0, 1), ValueError, "need n >= 1 and radius >= 0"),
+    "weight_shell": (lambda: list(metric.weight_shell(0, 0)), ValueError, "need n >= 1"),
     "anticode_size_odd": (lambda: metric.anticode_size_odd(1, -1),
                           ValueError, "need n >= 1 and radius >= 0"),
     "g_volume_formula": (lambda: hadamard.g_volume_formula(1, 2), ValueError, "i and j must be at least 2"),
@@ -371,3 +374,85 @@ def test_public_rejections(name):
     call, error, message = REJECTIONS[name]
     with pytest.raises(error, match=f"^{message}$"):
         call()
+
+
+#: public entry points on two sizes a, b; each ignores what it has no use for
+SIZE_CALLS = {
+    "lee_dist": lambda a, b: metric.lee_dist((a, b), (b, a), a),
+    "lee_sphere_size": metric.lee_sphere_size,
+    "anticode_size_odd": metric.anticode_size_odd,
+    "check_anticode_recurrences": metric.check_anticode_recurrences,
+    "weight_shell": lambda a, b: list(metric.weight_shell(a, b)),
+    "sphere_center": metric.sphere_center,
+    "enumerate_sphere": metric.enumerate_sphere,
+    "enumerate_anticode_odd": metric.enumerate_anticode_odd,
+    "sylvester": lambda a, b: hadamard.sylvester(a),
+    "paley": lambda a, b: hadamard.paley(a),
+    "hadamard_code": lambda a, b: hadamard.hadamard_code(hadamard.sylvester(a)),
+    "h_matrix": lambda a, b: hadamard.h_matrix(a),
+    "g_matrix": hadamard.g_matrix,
+    "g_volume_formula": hadamard.g_volume_formula,
+    "minkowski3": lambda a, b: constructions.minkowski3(a),
+    "dim4": lambda a, b: constructions.dim4(a),
+    "dim4_reconciliation": lambda a, b: constructions.dim4_reconciliation(a),
+    "n2_perfect": lambda a, b: constructions.n2_perfect(a),
+    "gn": lambda a, b: constructions.gn(a),
+    "scaled_diameter_code": constructions.scaled_diameter_code,
+    "gw_perfect": lambda a, b: constructions.gw_perfect(a),
+    "density_csv": lambda a, b: constructions.density_csv(a),
+    "identity": lambda a, b: intlat.IntMatrix.identity(a),
+    "transform_matrix": lambda a, b: xform.transform_matrix(a),
+    "column_blocks": lambda a, b: list(xform.column_blocks([(0,) * b], a)),
+    "continuous_box": lambda a, b: xform.continuous_box(hadamard.sylvester(1), a),
+    "discrete_box": lambda a, b: xform.discrete_box(xform.TransformSpec.build(2), a),
+}
+
+#: public entry points on a lattice and a point x of its length
+LATTICE_CALLS = {
+    "det": lambda lat, x: intlat.det(lat.gen),
+    "snf": lambda lat, x: intlat.snf(lat.gen),
+    "adjugate": lambda lat, x: intlat.adjugate(lat.gen),
+    "contains": lambda lat, x: intlat.contains(lat, x),
+    "coset_group": lambda lat, x: intlat.coset_group(lat),
+    "period": lambda lat, x: intlat.period(lat),
+    "reduce_mod_period": lambda lat, x: intlat.reduce_mod_period(lat, x[0]),
+    "kronecker": lambda lat, x: intlat.kronecker(lat, intlat.Lattice([[2]])),
+    "scale": lambda lat, x: intlat.scale(lat, x[0]),
+    "puncture": lambda lat, x: intlat.puncture(lat),
+    "normalize_first_column": lambda lat, x: intlat.normalize_first_column(lat),
+    "parse_lattice": lambda lat, x: intlat.parse_lattice(intlat.format_lattice(lat)),
+    "min_distance": lambda lat, x: analyzer.min_distance(lat),
+    "coset_table": lambda lat, x: analyzer.coset_table(lat),
+    "covering_radius": lambda lat, x: analyzer.covering_radius(lat),
+    "report": lambda lat, x: analyzer.report(lat),
+    "double": lambda lat, x: constructions.double(lat),
+    "hadamard_kernel_code": lambda lat, x: xform.hadamard_kernel_code(hadamard.HadamardMatrix(lat.gen)),
+    "discrete_transform": lambda lat, x: xform.discrete_transform(xform.TransformSpec.build(2), x),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_degenerate_inputs_return_or_raise_library_errors(data):
+    """Small and out-of-range sizes, and lattices in n <= 4 with entries in
+    [-4, 4] and scales p/q, p, q <= 3: every public call returns, or raises
+    ValueError or a LatticeError, never another exception."""
+    a, b = data.draw(st.integers(-3, 5)), data.draw(st.integers(-3, 5))
+    for call in SIZE_CALLS.values():
+        try:
+            call(a, b)
+        except (ValueError, LatticeError):
+            pass
+    n = data.draw(st.integers(1, 4))
+    rows = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n))
+    scale = Fraction(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+    x = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+    try:
+        lat = intlat.Lattice(rows, scale)
+    except (ValueError, LatticeError):
+        return
+    for call in LATTICE_CALLS.values():
+        try:
+            call(lat, x)
+        except (ValueError, LatticeError):
+            pass

@@ -134,11 +134,12 @@ class TestEnumerators:
         with pytest.raises(IntegralityError, match=f"^center coordinate {re.escape(repr(bad))} is not an int$"):
             metric.enumerate_sphere(2, 1, center=(bad, 0))
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(metric, "DEFAULT_CAP", 10)
         with pytest.raises(CapExceededError, match="^sphere has 8361 points, cap is 10$"):
-            metric.enumerate_sphere(4, 10, cap=10)
+            metric.enumerate_sphere(4, 10)
         with pytest.raises(CapExceededError, match="^anticode has 16 points, cap is 10$"):
-            metric.enumerate_anticode_odd(4, 1, cap=10)
+            metric.enumerate_anticode_odd(4, 1)
 
     def test_dimension_cap(self):
         # no dimension ceiling: the point cap alone bounds the walk

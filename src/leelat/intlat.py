@@ -52,9 +52,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.entries)
-
     def transpose(self) -> "IntMatrix":
         return _trusted(zip(*self.entries))
 
@@ -286,27 +283,14 @@ class Lattice:
             gen = IntMatrix(gen)
         if gen.rows != gen.cols:
             raise DimensionError("generator matrix must be square")
-        scale = Fraction(scale)
+        scale = _exact(scale, "scale")
         if scale <= 0:
             raise ValueError("scale must be positive")
         try:
             h = hnf(gen)
         except SingularMatrixError:
             raise SingularMatrixError("generator rows are linearly dependent") from None
-        m = gen
-        if scale != 1:
-            num, den = scale.numerator, scale.denominator
-            if any(v % den for r in gen.entries for v in r):
-                raise IntegralityError(f"scale {scale} does not keep the generator integral")
-            m = _trusted([[v // den * num for v in r] for r in gen.entries])
-            # c.HNF(G) = HNF(c.G) for c > 0, integral since c.G is
-            h = _trusted([[v // den * num for v in r] for r in h.entries])
-        object.__setattr__(self, "gen", gen)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "n", gen.rows)
-        object.__setattr__(self, "int_matrix", m)
-        object.__setattr__(self, "hnf", h)
-        object.__setattr__(self, "volume", _balanced_prod([h.entries[i][i] for i in range(gen.rows)]))
+        _settle(self, gen, scale, h, scale)
 
     def __setattr__(self, name, value):
         raise AttributeError("Lattice is immutable")
@@ -314,6 +298,43 @@ class Lattice:
     def __repr__(self) -> str:
         s = "" if self.scale == 1 else f", scale={self.scale}"
         return f"Lattice({[list(r) for r in self.gen.entries]}{s})"
+
+
+def _exact(value, what: str) -> Fraction:
+    """``value`` as a Fraction, when it is an int or a Fraction: a float or
+    a string would pass ``Fraction()`` and break the exactness contract."""
+    if not isinstance(value, (int, Fraction)):
+        raise IntegralityError(f"{what} {value!r} is not an int or a Fraction")
+    return Fraction(value)
+
+
+def _times(m: IntMatrix, c: Fraction) -> IntMatrix:
+    """c·m, for a c that keeps m integral."""
+    if c == 1:
+        return m
+    num, den = c.numerator, c.denominator
+    return _trusted([[v // den * num for v in r] for r in m.entries])
+
+
+def _settle(lat: Lattice, gen: IntMatrix, scale: Fraction, h: IntMatrix, f: Fraction) -> Lattice:
+    """Set the fields of ``lat`` from its square nonsingular generator, its
+    positive scale, and an h with f·h the HNF of scale·gen.  Raises
+    IntegralityError when the scale does not keep the generator integral.
+
+    Lattices derived from others pass the HNF their inputs hold, so only
+    ``Lattice()`` itself reduces a generator from scratch.
+    """
+    if scale != 1 and any(v % scale.denominator for r in gen.entries for v in r):
+        raise IntegralityError(f"scale {scale} does not keep the generator integral")
+    # c.HNF(G) = HNF(c.G) for c > 0, integral since c.G is
+    h = _times(h, f)
+    object.__setattr__(lat, "gen", gen)
+    object.__setattr__(lat, "scale", scale)
+    object.__setattr__(lat, "n", gen.rows)
+    object.__setattr__(lat, "int_matrix", _times(gen, scale))
+    object.__setattr__(lat, "hnf", h)
+    object.__setattr__(lat, "volume", _balanced_prod([h.entries[i][i] for i in range(gen.rows)]))
+    return lat
 
 
 def same_lattice(a: Lattice, b: Lattice) -> bool:
@@ -418,8 +439,17 @@ def reduce_mod_period(lat: Lattice, min_dist: int) -> CodeParams:
 
 
 def kronecker(a: Lattice, b: Lattice) -> Lattice:
-    """Direct-product lattice; an (n1*n2, d1*d2, v1^n2 * v2^n1, q1*q2) code."""
-    return Lattice(a.gen.kron(b.gen), a.scale * b.scale)
+    """Direct-product lattice; an (n1*n2, d1*d2, v1^n2 * v2^n1, q1*q2) code.
+
+    With U_a·A = HNF(A) and U_b·B = HNF(B), U_a ⊗ U_b is unimodular, so
+    A ⊗ B and HNF(A) ⊗ HNF(B) span the same lattice, and the latter is
+    already in HNF: its entry in row (i, k) and column (j, l) is
+    a_ij·b_kl, zero above the diagonal, a_jj·b_ll > 0 on it, and below it
+    0 <= a_ij <= a_jj and 0 <= b_kl <= b_ll with one of them strictly
+    less, so in [0, a_jj·b_ll).
+    """
+    h = a.hnf.kron(b.hnf)
+    return _settle(object.__new__(Lattice), a.gen.kron(b.gen), a.scale * b.scale, h, 1)
 
 
 def scale(lat: Lattice, f) -> Lattice:
@@ -428,10 +458,10 @@ def scale(lat: Lattice, f) -> Lattice:
     Volume scales by f^n and every Manhattan distance by f.  Raises
     IntegralityError when the scaled generator is not integral.
     """
-    f = Fraction(f)
+    f = _exact(f, "scale factor")
     if f <= 0:
         raise ValueError("scale factor must be positive")
-    return Lattice(lat.gen, lat.scale * f)
+    return _settle(object.__new__(Lattice), lat.gen, lat.scale * f, lat.hnf, f)
 
 
 def puncture(lat: Lattice) -> Lattice:
@@ -461,7 +491,7 @@ def normalize_first_column(lat: Lattice) -> Lattice:
     """
     m = [list(r) for r in lat.int_matrix.entries]
     _pivot_column(m, 0, range(len(m)))
-    return Lattice(m)
+    return _settle(object.__new__(Lattice), _trusted(m), Fraction(1), lat.hnf, 1)
 
 
 # --- shared matrix text format ------------------------------------------

@@ -353,7 +353,8 @@ def hadamard_kernel_code(h: HadamardMatrix) -> Lattice:
     # In the lattice of rows (x | H.x + d*y) the vectors ending in n zeros
     # are exactly (x | 0) with x in the code.  The lower-triangular HNF puts
     # them in its first n rows, already in the code's own canonical HNF.
-    stacked = [[int(i == j) for j in range(n)] + list(h.matrix.column(i)) for i in range(n)]
+    # H is symmetric, so row i of the stack ends in row i of H, its column i
+    stacked = [[int(i == j) for j in range(n)] + list(m[i]) for i in range(n)]
     stacked += [[0] * n + [d * (i == j) for j in range(n)] for i in range(n)]
     code = Lattice([r[:n] for r in intlat.hnf(IntMatrix(stacked)).entries[:n]])
     # every generator row really is in the kernel: the rows go through H as one block

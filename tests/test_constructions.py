@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from leelat import analyzer, cli, constructions, hadamard, intlat, metric, xform
 from leelat.analyzer import CertificateKind
-from leelat.errors import DimensionError, LatticeError, SingularMatrixError
+from leelat.errors import DimensionError, IntegralityError, LatticeError, SingularMatrixError
 
 from helpers import check_record, lee_code_min_distance
 
@@ -248,6 +248,11 @@ class TestDensityTable:
         for e in constructions.density_table(12):
             assert e.density * math.factorial(e.n) * e.volume == e.d**e.n
 
+    def test_every_row_holds_the_hnf_of_its_matrix(self):
+        # products, scalings and normalized parents take their inputs' HNFs
+        for e in constructions.density_table(12):
+            assert e.lattice.hnf == intlat.hnf(e.lattice.int_matrix)
+
     def test_volume_coefficients(self):
         table = {e.n: e for e in constructions.density_table(7)}
         assert table[3].volume_coeff == Fraction(19, 108)
@@ -353,6 +358,13 @@ REJECTIONS = {
     "adjugate_singular": (lambda: intlat.adjugate(intlat.IntMatrix([[1, 2], [2, 4]])),
                           SingularMatrixError, "adjugate of a singular matrix"),
     "Lattice": (lambda: intlat.Lattice([[1, 2]]), DimensionError, "generator matrix must be square"),
+    # a scale is an int or a Fraction, never a float or a string that Fraction() would read
+    "Lattice_float_scale": (lambda: intlat.Lattice([[2, 0], [0, 2]], 0.5),
+                            IntegralityError, r"scale 0\.5 is not an int or a Fraction"),
+    "Lattice_string_scale": (lambda: intlat.Lattice([[2, 0], [0, 2]], "1/2"),
+                             IntegralityError, "scale '1/2' is not an int or a Fraction"),
+    "scale_float": (lambda: intlat.scale(intlat.Lattice([[2, 0], [0, 2]]), 2.0),
+                    IntegralityError, r"scale factor 2\.0 is not an int or a Fraction"),
     "lee_dist": (lambda: metric.lee_dist((0, 0), (0,), 5), DimensionError, "points have different lengths"),
     "lee_sphere_size": (lambda: metric.lee_sphere_size(0, 1), ValueError, "need n >= 1 and radius >= 0"),
     "weight_shell": (lambda: list(metric.weight_shell(0, 0)), ValueError, "need n >= 1"),

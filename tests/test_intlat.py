@@ -482,6 +482,34 @@ def test_scaled_hnf_and_volume(rows, k, s):
     assert lat.volume == abs(cofactor_det(lat.int_matrix.entries))
 
 
+def settled_fields(lat):
+    return lat.gen, lat.scale, lat.int_matrix, lat.hnf, lat.volume
+
+
+RATIONALS = st.builds(Fraction, st.integers(1, 4), st.integers(1, 4))
+
+
+# scale, kronecker and normalize_first_column take the HNF their inputs
+# hold; each must settle exactly the lattice Lattice() builds from scratch
+@HYPOTHESIS
+@given(nonsingular_rows(), nonsingular_rows(), RATIONALS, RATIONALS, RATIONALS)
+@example([[2, 1], [0, 3]], [[1, 0], [1, 2]], Fraction(1, 2), Fraction(3, 2), Fraction(2))
+@example([[1, 2], [3, 4]], [[2]], Fraction(1), Fraction(1), Fraction(2, 3))
+def test_derived_lattices_match_from_scratch(rows, other, s, t, f):
+    a = Lattice([[v * s.denominator for v in r] for r in rows], s)
+    b = Lattice([[v * t.denominator for v in r] for r in other], t)
+    derived = [intlat.kronecker(a, b), intlat.kronecker(b, a), intlat.normalize_first_column(a)]
+    try:
+        Lattice(a.gen, a.scale * f)
+    except IntegralityError as e:
+        with pytest.raises(IntegralityError, match=f"^{e}$"):
+            intlat.scale(a, f)
+    else:
+        derived.append(intlat.scale(a, f))
+    for lat in derived:
+        assert settled_fields(lat) == settled_fields(Lattice(lat.gen, lat.scale))
+
+
 class TestReduceModPeriod:
     def test_g6(self):
         p = intlat.reduce_mod_period(Lattice(G6), 4)

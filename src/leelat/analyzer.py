@@ -27,6 +27,11 @@ DEFAULT_POINT_BUDGET = 20_000_000
 #: which d is read from the coset sweep rather than the distance tree
 DEFAULT_COSET_CAP = 10**6
 
+#: largest ``coset_cap`` of ``report`` (and ``analyze --coset-cap``); the
+#: covering radius costs about one bit a coset plus at most log2 of the
+#: volume masks of that size
+MAX_COSET_CAP = 10**7
+
 
 def _tree_distance(lat: Lattice, cap: int | None = None) -> int:
     """The distance tree, which ``_distance`` runs above ``DEFAULT_COSET_CAP`` cosets.
@@ -43,6 +48,16 @@ def _tree_distance(lat: Lattice, cap: int | None = None) -> int:
     over all passes; once it is spent the search raises
     BudgetExhaustedError, the InconclusiveError that, unlike an exhausted
     cap, leaves some weight up to the cap unsearched.
+
+    Each pass is one loop over the open path, kept in per-level lists
+    instead of call frames, so the search does not recurse at any n.  A
+    node at level j is settled where it stands when the coordinates below
+    it follow in closed form (j <= 1, or no weight left) or x_j has no
+    value to try; otherwise it opens level j with the values of x_j to try,
+    the weight left and whether every coordinate above j is zero.  Stepping
+    the deepest open level u to its next value moves row u's coefficient
+    in the partial vector and enters the node at u - 1; once u has no value
+    left, its coefficient goes back to 0 and the path backs up, u += 1.
     """
     h = lat.hnf.entries
     n = lat.n
@@ -51,76 +66,77 @@ def _tree_distance(lat: Lattice, cap: int | None = None) -> int:
     # coefficient moves only these lower coordinates
     below = [tuple((k, v) for k, v in enumerate(h[j][:j]) if v) for j in range(n)]
     partial = [0] * n  # contribution of the rows chosen so far
+    # the open path by level: the values of x_j still to try, row j's
+    # coefficient in ``partial``, the weight left at j, and whether every
+    # coordinate above j is zero
+    todo, coef, left, zero = [None] * n, [0] * n, [0] * n, [False] * n
     limit = cap if cap is not None else DEFAULT_HARD_CAP
     budget = DEFAULT_POINT_BUDGET
     nodes = 0
-    w = 0
-
-    def exhausted():
-        return BudgetExhaustedError(
-            f"search budget exhausted: {nodes} nodes visited, budget "
-            f"{budget}, weights <= {w - 1} fully searched"
-        )
-
-    def search(j, rem, free):
-        nonlocal nodes
-        if rem == 0:
-            # every lower coordinate is zero: reduce the partial vector
-            # against the HNF, one node per level that admits a zero
-            p = partial[: j + 1]
-            for k in range(j, -1, -1):
-                q, r = divmod(p[k], diag[k])
-                if r:
-                    break
-                if q:
-                    for i, a in below[k]:
-                        p[i] -= q * a
-            nodes += j - k
+    for w in range(1, limit + 1):
+        j, rem, free = n - 1, w, True
+        u = n  # the deepest open level; n while none is
+        while True:
+            if rem == 0:
+                # every lower coordinate is zero: reduce the partial vector
+                # against the HNF, one node per level that admits a zero
+                p = partial[: j + 1]
+                for k in range(j, -1, -1):
+                    q, r = divmod(p[k], diag[k])
+                    if r:
+                        break
+                    if q:
+                        for i, a in below[k]:
+                            p[i] -= q * a
+                nodes += j - k
+            elif j:
+                d, t = diag[j], partial[j]
+                # x_j = t (mod d) with |x_j| <= rem, smallest |x_j| first; only
+                # x_j >= 0 while every higher coordinate is zero (then t == 0)
+                if free:
+                    values = range(0, rem + 1, d)
+                else:
+                    r = t % d
+                    values = sorted(range(r - (r + rem) // d * d, rem + 1, d), key=abs)
+                nodes += len(values)
             if nodes > budget:
-                raise exhausted()
-            return r == 0
-        d = diag[j]
-        t = partial[j]
-        # x_j = t (mod d) with |x_j| <= rem, smallest |x_j| first; only
-        # x_j >= 0 while every higher coordinate is zero (then t == 0)
-        if free:
-            values = range(0, rem + 1, d)
-        else:
-            r = t % d
-            values = sorted(range(r - (r + rem) // d * d, rem + 1, d), key=abs)
-        nodes += len(values)
-        if nodes > budget:
-            raise exhausted()
-        if j == 1:
-            # x_0 is forced: |x_0| = rem - |x_1|, in one class mod diag[0]
-            d0 = diag[0]
-            a = h[1][0]
-            t0 = partial[0]
-            for v in values:
-                r0 = rem - abs(v)
-                s = t0 + (v - t) // d * a
-                if (r0 - s) % d0 == 0 or (r0 + s) % d0 == 0:
-                    return True
-            return False
-        row = below[j]
-        for v in values:
-            c = (v - t) // d
-            for k, a in row:
-                partial[k] += c * a
-            found = search(j - 1, rem - abs(v), free and v == 0)
-            for k, a in row:
-                partial[k] -= c * a
-            if found:
-                return True
-        return False
-
-    if n == 1:  # the lattice is diag[0] * Z
-        if diag[0] <= limit:
-            return diag[0]
-    else:
-        for w in range(1, limit + 1):
-            if search(n - 1, w, True):
-                return w
+                raise BudgetExhaustedError(
+                    f"search budget exhausted: {nodes} nodes visited, budget "
+                    f"{budget}, weights <= {w - 1} fully searched"
+                )
+            if rem == 0:
+                if r == 0:
+                    return w
+            elif j == 0:  # n == 1, the lattice diag[0] * Z: x_0 = rem
+                if rem % diag[0] == 0:
+                    return w
+            elif j == 1:
+                # x_0 is forced: |x_0| = rem - |x_1|, in one class mod diag[0]
+                d0 = diag[0]
+                a = h[1][0]
+                t0 = partial[0]
+                for v in values:
+                    r0 = rem - abs(v)
+                    s = t0 + (v - t) // d * a
+                    if (r0 - s) % d0 == 0 or (r0 + s) % d0 == 0:
+                        return w
+            elif values:  # open level j; with no value the node is settled
+                u = j
+                todo[u], left[u], zero[u] = iter(values), rem, free
+            # back up to the deepest open level with a value left and step to it
+            while u < n:
+                v = next(todo[u], None)
+                c = 0 if v is None else (v - partial[u]) // diag[u]
+                step, coef[u] = c - coef[u], c
+                if step:
+                    for k, a in below[u]:
+                        partial[k] += step * a
+                if v is not None:
+                    j, rem, free = u - 1, left[u] - abs(v), zero[u] and v == 0
+                    break
+                u += 1
+            else:
+                break
     raise InconclusiveError(
         f"no nonzero lattice vector of weight <= {limit}; raise the cap "
         f"({nodes} nodes visited, budget {budget})"
@@ -395,7 +411,10 @@ def report(
     min_dist_cap: int | None = None,
     coset_cap: int = DEFAULT_COSET_CAP,
 ) -> dict:
-    """Full machine-readable analysis document with a fixed key order."""
+    """Full machine-readable analysis document with a fixed key order.  A
+    ``coset_cap`` above ``MAX_COSET_CAP`` raises ValueError before any search."""
+    if coset_cap > MAX_COSET_CAP:
+        raise ValueError(f"coset_cap must be at most {MAX_COSET_CAP}, got {coset_cap}")
     volume = lat.volume
     intlat.check_digits("volume", [volume])  # it bounds every number but the density
     d, rho = _distance(lat, min_dist_cap, radius=volume <= coset_cap)

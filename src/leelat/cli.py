@@ -38,10 +38,6 @@ EXIT_INCONCLUSIVE = 4
 #: entries, so an unchecked size flag could exhaust memory
 MAX_LENGTH = 256
 
-#: largest ``analyze --coset-cap``; the covering radius costs about one bit
-#: a coset plus at most log2 of the volume masks of that size
-MAX_COSET_CAP = 10**7
-
 
 #: characters per parsing pass of ``transform``'s input; a pass ends at the
 #: first "\n" past them, so a text with no later "\n" is one pass.  A pass
@@ -234,8 +230,6 @@ def cmd_construct(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    # above 10^6 cosets the distance tree recurses once per coordinate, so
-    # the input ceiling stays at MAX_LENGTH
     lat = _load_lattice(args.matrix, max_n=MAX_LENGTH)
     doc = analyzer.report(lat, min_dist_cap=args.min_dist_cap, coset_cap=args.coset_cap)
     print(json.dumps(doc, indent=2))
@@ -366,8 +360,9 @@ COMMANDS = {
                 ("matrix", {"help": "matrix file in the shared text format, or - for stdin"}), {
         "min-dist-cap": {"type": _bounded_int(1), "default": None,
                          "help": "weight cap for the distance search"},
-        "coset-cap": {"type": _bounded_int(0, MAX_COSET_CAP), "default": analyzer.DEFAULT_COSET_CAP,
-                      "help": f"skip the covering radius above this volume (<= {MAX_COSET_CAP})"},
+        "coset-cap": {"type": _bounded_int(0, analyzer.MAX_COSET_CAP),
+                      "default": analyzer.DEFAULT_COSET_CAP,
+                      "help": f"skip the covering radius above this volume (<= {analyzer.MAX_COSET_CAP})"},
     }),
     "density": (cmd_density, "print the packing-density table as CSV", None, {
         "max-n": {"type": _bounded_int(2, 12), "default": 10, "help": "largest length (<= 12)"},

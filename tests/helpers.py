@@ -203,9 +203,9 @@ def reference_parser() -> argparse.ArgumentParser:
     a.add_argument("matrix", help="matrix file in the shared text format, or - for stdin")
     a.add_argument("--min-dist-cap", type=cli._bounded_int(1), default=None,
                    help="weight cap for the distance search")
-    a.add_argument("--coset-cap", type=cli._bounded_int(0, cli.MAX_COSET_CAP),
+    a.add_argument("--coset-cap", type=cli._bounded_int(0, analyzer.MAX_COSET_CAP),
                    default=analyzer.DEFAULT_COSET_CAP,
-                   help=f"skip the covering radius above this volume (<= {cli.MAX_COSET_CAP})")
+                   help=f"skip the covering radius above this volume (<= {analyzer.MAX_COSET_CAP})")
 
     t = sub.add_parser("density", help="print the packing-density table as CSV")
     t.set_defaults(handler=cli.cmd_density)

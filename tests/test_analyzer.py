@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from leelat import analyzer, cli, constructions, hadamard, intlat, metric
 from leelat.analyzer import CertificateKind
-from leelat.errors import CapExceededError, InconclusiveError
+from leelat.errors import BudgetExhaustedError, CapExceededError, InconclusiveError
 from leelat.intlat import IntMatrix, Lattice
 
 from helpers import brute_coset_leaders, brute_min_weight, check_record, lee_code_min_distance
@@ -79,6 +79,28 @@ class TestMinDistance:
 
     def test_no_recursion_at_n_1200(self):
         assert analyzer.min_distance(diag_2_lattice(1200)) == 1
+
+    def test_tree_no_recursion_at_n_1200(self):
+        # diag(3 x13, 1, ..., 1): 3^13 cosets, past the sweep, so d comes from the tree
+        n = 1200
+        lat = Lattice([[3 if i == j < 13 else int(i == j) for j in range(n)] for i in range(n)])
+        assert lat.volume == 3**13 > analyzer.DEFAULT_COSET_CAP
+        assert analyzer.min_distance(lat) == 1
+
+    def test_tree_node_counts(self, monkeypatch):
+        # the depth-first order pinned through its exact node counts
+        paley = hadamard.hadamard_code(hadamard.paley(11))
+        sylvester = hadamard.hadamard_code(hadamard.sylvester(4))
+        for lat, cap, nodes in [(paley, 11, 24232), (sylvester, 15, 95281)]:
+            with pytest.raises(InconclusiveError) as e:
+                analyzer._tree_distance(lat, cap=cap)
+            assert str(e.value) == (f"no nonzero lattice vector of weight <= {cap}; raise the cap "
+                                    f"({nodes} nodes visited, budget 20000000)")
+        monkeypatch.setattr(analyzer, "DEFAULT_POINT_BUDGET", 10000)
+        with pytest.raises(BudgetExhaustedError) as e:
+            analyzer._tree_distance(paley)
+        assert str(e.value) == (
+            "search budget exhausted: 10002 nodes visited, budget 10000, weights <= 9 fully searched")
 
     def test_paley_order_12(self):
         # the order-12 certificate through the library; the numpy span
@@ -507,6 +529,11 @@ class TestReport:
             calls.clear()
             doc = analyzer.report(code, coset_cap=coset_cap)
             assert (doc["min_distance"], doc["covering_radius"], calls) == (12, rho, [None])
+
+    def test_coset_cap_ceiling(self):
+        with pytest.raises(ValueError, match="coset_cap must be at most 10000000, got 10000001"):
+            analyzer.report(constructions.gn(3), coset_cap=analyzer.MAX_COSET_CAP + 1)
+        assert analyzer.report(constructions.gn(3), coset_cap=analyzer.MAX_COSET_CAP)["covering_radius"] == 2
 
     def test_key_order_fixed(self):
         doc = analyzer.report(constructions.gw_perfect(2))

@@ -454,7 +454,7 @@ class TestAnalyze:
         assert len(err.splitlines()) == 1
 
     def test_dimension_ceiling_exits_3(self, tmp_path, capsys):
-        # the searches recurse once per coordinate; the ceiling is construct's
+        # the ceiling is construct's
         f = tmp_path / "wide.txt"
         f.write_text(identity_text(1200))
         assert run_cli(["analyze", str(f)]) == 3

@@ -1,40 +1,1 @@
 """Exact-arithmetic lattice codes in the Lee and Manhattan metrics."""
-
-from .intlat import (
-    CodeParams,
-    IntMatrix,
-    Lattice,
-    canonical_residue,
-    contains,
-    det,
-    hnf,
-    kronecker,
-    parse_lattice,
-    period,
-    puncture,
-    reduce_mod_period,
-    same_lattice,
-    scale,
-    snf,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "CodeParams",
-    "IntMatrix",
-    "Lattice",
-    "canonical_residue",
-    "contains",
-    "det",
-    "hnf",
-    "kronecker",
-    "parse_lattice",
-    "period",
-    "puncture",
-    "reduce_mod_period",
-    "same_lattice",
-    "scale",
-    "snf",
-    "__version__",
-]

@@ -285,7 +285,8 @@ def covering_radius(lat: Lattice) -> int:
 def min_distance(lat: Lattice, cap: int | None = None) -> int:
     """Minimum Manhattan weight over the nonzero lattice vectors, from
     ``_distance``.  A d above ``cap`` (``DEFAULT_HARD_CAP`` without one) or
-    a spent node budget raises InconclusiveError, never a wrong answer."""
+    a spent node budget raises InconclusiveError, never a wrong answer; a
+    ``cap`` below 1 raises ValueError."""
     return _distance(lat, cap, radius=False)[0]
 
 
@@ -307,6 +308,8 @@ def _distance(lat: Lattice, cap: int | None, radius: bool) -> tuple:
     k = ρ.  A d above ``cap`` (``DEFAULT_HARD_CAP`` without one) raises
     InconclusiveError once the sweep has passed it.
     """
+    if cap is not None and cap < 1:
+        raise ValueError(f"weight cap must be at least 1, got {cap}")
     if lat.volume > DEFAULT_COSET_CAP:
         return _tree_distance(lat, cap), (_cover(1, *_coset_moves(lat), 0) if radius else None)
     limit = cap if cap is not None else DEFAULT_HARD_CAP

@@ -153,7 +153,8 @@ FAMILIES = {
 #: construct flag -> (kind, help).  A "matrix" flag names a matrix file,
 #: loaded before the build and held to MAX_LENGTH + 1 rows and columns, so
 #: that ``puncture`` can reach MAX_LENGTH; an "int" flag is an integer.
-#: Which family reads which flag is FAMILIES' to say.
+#: Which family reads which flag is FAMILIES' to say; ``construct`` refuses
+#: any other.
 CONSTRUCT_FLAGS = {
     "n": ("int", "code length"),
     "d": ("int", "minimum-distance parameter"),
@@ -177,6 +178,9 @@ def _construct_lattice(args) -> tuple:
         if value is None:
             raise UsageFault(f"family {fam} requires --{name}")
         values.append(_load_lattice(value, MAX_LENGTH + 1) if kind == "matrix" else value)
+    for name in CONSTRUCT_FLAGS:  # a flag the family does not read is refused, its file unopened
+        if name not in flags and getattr(args, name) is not None:
+            raise UsageFault(f"family {fam} does not read --{name}")
     if length(*values) > MAX_LENGTH:  # refused before anything is built
         given = " ".join(f"--{name} {getattr(args, name)}" for name in flags)
         raise UsageFault(f"{fam} {given} asks for a code longer than the ceiling {MAX_LENGTH}")

@@ -16,7 +16,7 @@ from collections import namedtuple
 from itertools import chain, islice
 
 from . import analyzer, intlat, metric
-from .errors import BoundViolationError, DimensionError, IntegralityError
+from .errors import BoundViolationError, DimensionError, IntegralityError, LatticeError
 from .hadamard import HadamardMatrix, sylvester
 from .intlat import IntMatrix, Lattice
 
@@ -359,7 +359,7 @@ def hadamard_kernel_code(h: HadamardMatrix) -> Lattice:
     code = Lattice([r[:n] for r in intlat.hnf(IntMatrix(stacked)).entries[:n]])
     # every generator row really is in the kernel: the rows go through H as one block
     if any(v % d for col in hadamard_columns(h, list(zip(*code.int_matrix.entries))) for v in col):
-        raise ArithmeticError("kernel construction produced a non-member")
+        raise LatticeError("kernel construction produced a non-member")
     return code
 
 
@@ -404,7 +404,7 @@ class TransformSpec(namedtuple("TransformSpec", "h d code rho cosets")):
             offsets = [lanes.unpack(s - q + lanes.top) for s, q in zip(ss, qs)]
             cosets.update(zip(keys, zip(*offsets)))
         if len(cosets) != table.size:
-            raise ArithmeticError("two coset leaders share a syndrome")
+            raise LatticeError("two coset leaders share a syndrome")
         return cls(h=h, d=d, code=code, rho=table.rho, cosets=cosets)
 
 

@@ -136,7 +136,9 @@ def test_min_distance_matches_brute_force(engine, rows):
     d = brute_min_weight(rows, w_max)
     lat = Lattice(rows)
     assert engine(lat) == d
-    with pytest.raises(InconclusiveError):
+    # at d = 1, cap 0 is a parameter error, refused before the engine is chosen
+    error = ValueError if d == 1 and engine is analyzer.min_distance else InconclusiveError
+    with pytest.raises(error):
         engine(lat, cap=d - 1)
 
 
@@ -305,7 +307,7 @@ def test_covering_radius_matches_shell_scan(case):
 @example(([[2, 0], [0, 1]], 1))
 def test_report_distance_matches_brute_force(case):
     # Z^1, a single coset, and d = 1 at volume 2 come first; the sweep's
-    # d must also refuse a cap one below it
+    # d must also refuse a cap one below it, at d = 1 as a parameter error
     lat = Lattice(*case)
     rows = [list(r) for r in lat.int_matrix.entries]
     d = brute_min_weight(rows, min(sum(map(abs, r)) for r in rows))
@@ -316,7 +318,9 @@ def test_report_distance_matches_brute_force(case):
             analyzer.report(lat)
     doc = analyzer.report(lat, min_dist_cap=d)
     assert (doc["min_distance"], doc["covering_radius"]) == (d, analyzer.covering_radius(lat))
-    with pytest.raises(InconclusiveError, match="raise the cap"):
+    refusal = (pytest.raises(InconclusiveError, match="raise the cap") if d > 1
+               else pytest.raises(ValueError, match="^weight cap must be at least 1, got 0$"))
+    with refusal:
         analyzer.report(lat, min_dist_cap=d - 1)
 
 

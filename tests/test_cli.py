@@ -114,6 +114,14 @@ for argv, _ in FAMILY_DOCS:
     FAMILY_IDS.append("-".join(argv[::2]) if argv[0] in FAMILY_IDS else argv[0])
 
 
+#: a value of each int construct flag that every family reading it accepts
+CONSTRUCT_VALUES = {"order": 4, "i": 3, "j": 2, "d": 6, "n": 3}
+
+#: every (family, flag) pair that the family's FAMILIES row does not name
+UNREAD_FLAGS = [(fam, flag) for fam, (flags, *_) in cli.FAMILIES.items()
+                for flag in cli.CONSTRUCT_FLAGS if flag not in flags]
+
+
 class TestConstruct:
     def test_gn6_writes_example_matrix(self, tmp_path, capsys):
         out = tmp_path / "g6.txt"
@@ -184,6 +192,32 @@ class TestConstruct:
                 argv += [f"--{other}", str(given[other])]
         assert run_cli(argv) == 2
         assert capsys.readouterr().err == f"error: family {family} requires --{flag}\n"
+
+    @pytest.mark.parametrize("family,flag", UNREAD_FLAGS)
+    def test_unread_flag_exits_2(self, family, flag, tmp_path, capsys):
+        """Each family/flag pair outside the family's row, after the row's
+        own flags: exit 2, one line, nothing on stdout."""
+        matrix = tmp_path / "gn3.txt"
+        matrix.write_text("3 3\n1 0 3\n0 1 5\n0 0 12\n")
+        argv = ["construct", family]
+        for name in cli.FAMILIES[family][0] + (flag,):
+            argv += [f"--{name}", str(CONSTRUCT_VALUES.get(name, matrix))]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr() == ("", f"error: family {family} does not read --{flag}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        # argparse's path: "--n=3" is not a plain pair
+        (["gn", "--n=3", "--d", "4"], "family gn does not read --d"),
+        # the file of an unread flag is never opened, so this is no exit-3 read fault
+        (["gn", "--n", "3", "--input", "/nonexistent"], "family gn does not read --input"),
+        # a missing flag is named first
+        (["scaled", "--n", "3", "--i", "2"], "family scaled requires --d"),
+    ], ids=["argparse", "unread-file", "requires-first"])
+    def test_unread_flag_cases(self, argv, message, capsys, monkeypatch):
+        read = []
+        monkeypatch.setattr(cli, "_read_text", read.append)
+        assert run_cli(["construct", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n") and read == []
 
     def test_bad_hadamard_order_names_flag(self, capsys):
         for order in ("6", "0", "-4"):
@@ -631,6 +665,38 @@ class TestTransform:
         assert run_cli(argv, stdin="\n".join(lines) + "\n", monkeypatch=monkeypatch) == 3
         assert capsys.readouterr() == ("", f"error: line 71: {message}\n")
 
+    @pytest.mark.parametrize("stream, message", [
+        ("1 0 0 0\n\n1 x 0 0\n", "non-integer coordinate"),
+        ("1 0 0 0\n\n1 0 0\n", "expected 4 coordinates, got 3"),
+    ])
+    def test_blank_line_in_the_faulting_pass(self, stream, message, capsys, monkeypatch):
+        """A blank line in the pass that faults is skipped, not reported,
+        and still counts toward the bad line's number."""
+        argv = ["transform", "--d", "2", "--mode", "disc"]
+        assert run_cli(argv, stdin=stream, monkeypatch=monkeypatch) == 3
+        assert capsys.readouterr() == ("", f"error: line 3: {message}\n")
+
+    @pytest.mark.parametrize("fault", ["non-member", "shared syndrome"])
+    def test_failed_self_check_is_an_internal_error(self, fault, capsys, monkeypatch):
+        """The kernel code's membership check and the coset index's
+        one-syndrome-per-leader check, each made to fail: exit 1 and one
+        "internal error:" line."""
+        if fault == "non-member":  # every generator row off the kernel by one
+            columns = xform.hadamard_columns
+            monkeypatch.setattr(xform, "hadamard_columns",
+                                lambda h, cols: [[v + 1 for v in col] for col in columns(h, cols)])
+            message = "kernel construction produced a non-member"
+        else:  # the second leader replaced by the first
+            def coset_table(lat, table=analyzer.coset_table):
+                t = table(lat)
+                return t._replace(leaders=[t.leaders[0], t.leaders[0], *t.leaders[2:]])
+
+            monkeypatch.setattr(analyzer, "coset_table", coset_table)
+            message = "two coset leaders share a syndrome"
+        argv = ["transform", "--d", "2", "--mode", "disc"]
+        assert run_cli(argv, stdin="1 0 0 0\n", monkeypatch=monkeypatch) == 1
+        assert capsys.readouterr() == ("", f"internal error: {message}\n")
+
     def test_late_format_fault_beats_early_long_image(self, capsys, monkeypatch):
         """Nothing is printed before the last line has parsed.  An over-long
         image in the first, second or fourth block of 256 points gives the
@@ -993,6 +1059,12 @@ def test_import_adds_no_introspection_modules():
     added = _added_modules("import leelat.cli; ")
     assert "leelat.cli" in added
     assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "argparse", "gettext"}
+
+
+def test_package_import_loads_no_module():
+    """``import leelat`` defines no name: the library lives in its modules."""
+    added = _added_modules("import leelat; ")
+    assert "leelat" in added and not [m for m in added if m.startswith("leelat.")]
 
 
 def test_successful_runs_load_no_argparse(tmp_path):

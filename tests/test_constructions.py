@@ -378,6 +378,10 @@ REJECTIONS = {
                       DimensionError, "point length disagrees with the transform order"),
     "hadamard_columns": (lambda: xform.hadamard_columns(hadamard.sylvester(1), [(1, 2), (3,)]),
                          DimensionError, "coordinate columns of a block differ in length"),
+    "min_distance_cap": (lambda: analyzer.min_distance(intlat.Lattice([[2]]), cap=0),
+                         ValueError, "weight cap must be at least 1, got 0"),
+    "report_min_dist_cap": (lambda: analyzer.report(intlat.Lattice([[2]]), min_dist_cap=-1),
+                            ValueError, "weight cap must be at least 1, got -1"),
 }
 
 

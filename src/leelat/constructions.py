@@ -207,17 +207,17 @@ def _entry(label: str, lat: Lattice, d: int, volume_power: int | None = None) ->
 
 
 def _candidates(n: int, best: dict) -> list:
-    """Every construction of length n but the punctured ones; products read
-    only rows ``best[m]`` with m < n and m <= 6, which ``density_table`` has
-    already filled."""
+    """Every construction of length n but the punctured ones, as (label,
+    lattice, d) triples; products read only rows ``best[m]`` with m < n and
+    m <= 6, which ``density_table`` has already filled."""
     out = []
     if n == 2:
-        out.append(_entry("n2perfect", n2_perfect(2), 2))
+        out.append(("n2perfect", n2_perfect(2), 2))
     if n == 3:
-        out.append(_entry("minkowski3", minkowski3(6), 6))
+        out.append(("minkowski3", minkowski3(6), 6))
     if n == 4:
-        out.append(_entry("dim4", dim4(6), 6))
-    out.append(_entry(f"gn_scaled({n})", scaled_diameter_code(n, 4), 4))
+        out.append(("dim4", dim4(6), 6))
+    out.append((f"gn_scaled({n})", scaled_diameter_code(n, 4), 4))
     for a in range(2, n):
         if a * a > n:
             break
@@ -225,28 +225,20 @@ def _candidates(n: int, best: dict) -> list:
             ea, eb = best[a], best[n // a]
             lat = intlat.kronecker(ea.lattice, eb.lattice)
             # label stays comma-free so the CSV needs no quoting
-            out.append(
-                _entry(f"kron({ea.label} x {eb.label})", lat, ea.d * eb.d)
-            )
+            out.append((f"kron({ea.label} x {eb.label})", lat, ea.d * eb.d))
     return out
 
 
 def _punctured(parents: list) -> list:
     """The punctured codes of the ``parents`` whose first column normalizes
-    to (1, 0, ..., 0), each with its parent's d and volume power."""
+    to (1, 0, ..., 0), each with its parent's d and, as volume power, its
+    parent's length."""
     out = []
-    for parent in parents:
-        norm = intlat.normalize_first_column(parent.lattice)
+    for label, lat, d in parents:
+        norm = intlat.normalize_first_column(lat)
         if norm.int_matrix.entries[0][0] != 1:
             continue
-        out.append(
-            _entry(
-                f"puncture({parent.label})",
-                intlat.puncture(norm),
-                parent.d,
-                volume_power=parent.n,
-            )
-        )
+        out.append((f"puncture({label})", intlat.puncture(norm), d, lat.n))
     return out
 
 
@@ -263,8 +255,10 @@ def density_table(n_max: int) -> list:
             # reuses the candidates built for them
             twelve = _candidates(12, best)
             candidates += _punctured(twelve)
-        # max keeps the first of equally dense candidates
-        best[n] = max(candidates, key=lambda e: e.density)
+        # density reads n, d and the volume, never q, so only the winner
+        # needs its period; max keeps the first of equally dense candidates
+        winner = max(candidates, key=lambda c: intlat.CodeParams(c[1].n, c[2], c[1].volume, None).density)
+        best[n] = _entry(*winner)
     return list(best.values())
 
 

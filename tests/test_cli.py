@@ -559,6 +559,11 @@ class TestDensity:
         assert a == b and a.startswith(b"n,construction")
 
 
+def test_python_m_leelat_help():
+    run = subprocess.run([sys.executable, "-m", "leelat", "--help"], capture_output=True, text=True)
+    assert run.returncode == 0 and run.stdout.startswith("usage: leelat ")
+
+
 #: ways to end the lines of a point stream, each joining a list of lines
 #: into text; those that put a line break other than "\n" in each empty
 #: line give ``str.splitlines`` one more (blank) line there

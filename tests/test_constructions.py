@@ -265,6 +265,21 @@ class TestDensityTable:
         assert e.volume == e.volume_coeff * e.d**12
         assert e.lattice.n == 11
 
+    def test_period_once_per_row(self, monkeypatch):
+        # density ranks the candidates without q; only the 11 winners of
+        # 24 candidates take the period walk
+        calls = []
+        period = intlat.period
+        monkeypatch.setattr(intlat, "period", lambda lat: calls.append(lat.n) or period(lat))
+        table = constructions.density_table(12)
+        assert calls == [e.n for e in table] == list(range(2, 13))
+
+    def test_puncture_skips_first_column_gcd_above_one(self):
+        # first column (2, 0): no unimodular row operation makes it (1, 0)
+        even, odd = intlat.Lattice([[2, 0], [0, 1]]), intlat.Lattice([[1, 0], [0, 3]])
+        (label, lat, d, volume_power), = constructions._punctured([("even", even, 2), ("odd", odd, 1)])
+        assert (label, lat.hnf.entries, d, volume_power) == ("puncture(odd)", ((3,),), 1, 2)
+
     def test_csv_deterministic(self):
         assert constructions.density_csv(10) == constructions.density_csv(10)
 

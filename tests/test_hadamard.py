@@ -81,6 +81,12 @@ class TestPaley:
 
 
 class TestHadamardMatrix:
+    def test_immutable(self):
+        h = hadamard.sylvester(2)
+        with pytest.raises(AttributeError, match="^HadamardMatrix is immutable$"):
+            h.order = 8
+        assert h.order == 4
+
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             hadamard.HadamardMatrix(IntMatrix([[1, 1, 1, 1], [1, -1, 1, -1]]))

@@ -84,6 +84,13 @@ class TestIntMatrix:
         assert IntMatrix([[1]]).kron(a) == a
         assert a.kron(IntMatrix([[1]])) == a
 
+    def test_hash_and_repr(self):
+        a, b = IntMatrix([[1, 2], [3, 4]]), IntMatrix(((1, 2), (3, 4))).transpose().transpose()
+        assert a is not b and hash(a) == hash(b)
+        keys = {a: "first", b: "second"}
+        assert len(keys) == 1 and keys[a] == "second"
+        assert repr(a) == "IntMatrix([[1, 2], [3, 4]])"
+
 
 class TestDet:
     def test_identity(self):
@@ -197,6 +204,12 @@ class TestLattice:
     def test_singular_generator_rejected(self):
         with pytest.raises(SingularMatrixError):
             Lattice([[1, 1], [1, 1]])
+
+    def test_immutable(self):
+        lat = Lattice(G3)
+        with pytest.raises(AttributeError, match="^Lattice is immutable$"):
+            lat.scale = Fraction(2)
+        assert lat.scale == 1
 
     def test_volume_det_times_scale(self):
         lat = Lattice([[2, 0], [0, 4]], Fraction(1, 2))

@@ -117,6 +117,13 @@ class TestRecurrences:
         with pytest.raises(ValueError):
             metric.check_anticode_recurrences(0, 3)
 
+    def test_wrong_formula_reported(self, monkeypatch):
+        # an anticode size one too large at (3, 1) breaks the anticode
+        # identity there and the sphere identity at (3, 2), which reads it
+        true = metric.anticode_size_odd
+        monkeypatch.setattr(metric, "anticode_size_odd", lambda n, r: true(n, r) + ((n, r) == (3, 1)))
+        assert metric.check_anticode_recurrences(3, 2) == [(3, 1, "anticode"), (3, 2, "sphere")]
+
 
 class TestEnumerators:
     def test_line_segment(self):
